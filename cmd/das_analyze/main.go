@@ -19,6 +19,7 @@ import (
 
 	"dassa/internal/arrayudf"
 	"dassa/internal/cluster"
+	"dassa/internal/core"
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
@@ -355,7 +356,7 @@ func main() {
 		if err := params.Validate(); err != nil {
 			fatalUsage("%v", err)
 		}
-		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: params.Spec(), UDF: params.UDF()}, *out)
+		rep, err = eng.RunRows(v, core.STALTAWorkload(params, nt), *out)
 		if err != nil {
 			fatalData(err)
 		}

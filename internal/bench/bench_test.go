@@ -46,6 +46,18 @@ func TestTable1Shapes(t *testing.T) {
 	if vca.ExtraSpacePct > 1 {
 		t.Errorf("VCA extra space = %.2f%%, want ≈0%%", vca.ExtraSpacePct)
 	}
+	// The mechanism, which is deterministic: VCA construction reads no
+	// data and writes metadata only; RCA reads every member and rewrites
+	// all of it.
+	files := int64(o.Files)
+	if vca.ConstructionIO.Reads != 0 || rca.ConstructionIO.Reads < files {
+		t.Errorf("construction read calls: VCA %d (want 0), RCA %d (want ≥%d)",
+			vca.ConstructionIO.Reads, rca.ConstructionIO.Reads, files)
+	}
+	if 10*vca.ConstructionIO.BytesWritten >= rca.ConstructionIO.BytesWritten {
+		t.Errorf("construction bytes written: VCA %d not tiny vs RCA %d",
+			vca.ConstructionIO.BytesWritten, rca.ConstructionIO.BytesWritten)
+	}
 	if vca.ConstructionTime >= rca.ConstructionTime {
 		t.Errorf("VCA construction (%v) should beat RCA (%v)", vca.ConstructionTime, rca.ConstructionTime)
 	}

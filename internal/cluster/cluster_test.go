@@ -163,11 +163,51 @@ func TestClusterSTALTAOnSubsetWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	fw := core.New(core.Config{Nodes: 1, CoresPerNode: 4})
-	want, _, err := fw.Apply(sub, 0, p.Stride, p.UDF(), "")
+	want, _, err := fw.STALTA(sub, p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameValues(t, res.Data, want)
+}
+
+// TestSTALTAPathsBitIdentical runs one STA/LTA map through every
+// production layout — core in process at 1×1 and 2×2, and the cluster at
+// 1, 2 and 4 shards — and requires bit-identical maps, all within 1e-13
+// relative of the stencil-form UDF.
+func TestSTALTAPathsBitIdentical(t *testing.T) {
+	leakcheck.Check(t)
+	v, _ := makeView(t, 24, 3)
+	p := detect.STALTAParams{STASamples: 10, LTASamples: 100}
+	want, _, err := core.New(core.Config{Nodes: 1, CoresPerNode: 1}).STALTA(v, p, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := core.New(core.Config{Nodes: 2, CoresPerNode: 2}).STALTA(v, p, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameValues(t, got, want)
+
+	_, a1 := startWorker(t, WorkerConfig{})
+	_, a2 := startWorker(t, WorkerConfig{})
+	co := newCoord(t, []string{a1, a2}, nil)
+	for _, shards := range []int{1, 2, 4} {
+		res, err := co.Run(context.Background(), Request{View: v, Op: OpSTALTA, STALTA: p, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameValues(t, res.Data, want)
+	}
+
+	stencil, _, err := core.New(core.Config{Nodes: 1, CoresPerNode: 2}).Apply(v, 0, p.Stride, p.UDF(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range stencil.Data {
+		if g := want.Data[i]; g != w && math.Abs(g-w) > 1e-13*math.Max(math.Abs(g), math.Abs(w)) {
+			t.Fatalf("cell %d: row kernel %v, stencil %v", i, g, w)
+		}
+	}
 }
 
 func TestClusterNoWorkers(t *testing.T) {

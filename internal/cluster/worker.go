@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dassa/internal/arrayudf"
 	"dassa/internal/core"
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
@@ -437,13 +436,17 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int) (wire.S
 		if verr := p.Validate(); verr != nil {
 			return wire.ShardResult{}, nil, verr
 		}
-		out, tr, gaps, err = applyShard(sub, p.Spec().GhostChannels, p.Spec().TimeStride, p.UDF(), cores)
+		out, tr, gaps, err = applyShard(cores, func(fw *core.Framework) (*dasf.Array2D, core.Report, error) {
+			return fw.LocalSimilarityMap(sub, p)
+		})
 	case OpSTALTA:
 		p := detect.STALTAParams{STASamples: req.STA, LTASamples: req.LTA, Stride: req.Stride}
 		if verr := p.Validate(); verr != nil {
 			return wire.ShardResult{}, nil, verr
 		}
-		out, tr, gaps, err = applyShard(sub, 0, p.Spec().TimeStride, p.UDF(), cores)
+		out, tr, gaps, err = applyShard(cores, func(fw *core.Framework) (*dasf.Array2D, core.Report, error) {
+			return fw.STALTA(sub, p, "")
+		})
 	default:
 		return wire.ShardResult{}, nil, fmt.Errorf("cluster: unknown op %q", req.Op)
 	}
@@ -483,11 +486,13 @@ func executeShard(ctx context.Context, req wire.ShardRequest, cores int) (wire.S
 	return res, data, nil
 }
 
-// applyShard runs a stencil op over the shard's sub-view under FailDegrade
-// and normalizes the engine's report to (output, trace, gaps).
-func applyShard(sub *dass.View, ghost, stride int, udf arrayudf.PointUDF, cores int) (*dasf.Array2D, pfs.Trace, []dass.Gap, error) {
+// applyShard runs a detection op through the same core entry point dassd
+// uses in process, under FailDegrade, and normalizes the engine's report
+// to (output, trace, gaps). Shards split channels only and every op is
+// per-cell or per-row, so each shard row equals the in-process row.
+func applyShard(cores int, run func(fw *core.Framework) (*dasf.Array2D, core.Report, error)) (*dasf.Array2D, pfs.Trace, []dass.Gap, error) {
 	fw := core.New(core.Config{Nodes: 1, CoresPerNode: cores, FailPolicy: dass.FailDegrade})
-	out, rep, err := fw.Apply(sub, ghost, stride, udf, "")
+	out, rep, err := run(fw)
 	if err != nil {
 		return nil, rep.ReadTrace, nil, err
 	}

@@ -270,25 +270,43 @@ func (f *Framework) LocalSimilarity(v *dass.View, opt LocalSimiOptions) (*dasf.A
 }
 
 func (f *Framework) localSimilarity(v *dass.View, opt LocalSimiOptions) (*dasf.Array2D, []detect.Region, Report, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, nil, Report{}, err
-	}
-	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{
-		Spec: opt.Spec(), UDFScratch: opt.UDFScratch(),
-	}, opt.OutPath)
+	out, rep, err := f.localSimilarityMap(v, opt.LocalSimiParams, opt.OutPath)
 	if err != nil {
-		return nil, nil, Report{}, err
-	}
-	if rep.OOM {
-		return nil, nil, reportOf(rep), ErrOutOfMemory
+		return nil, nil, rep, err
 	}
 	thresh := opt.Threshold
 	if thresh == 0 {
 		thresh = 1.5
 	}
 	nch, _ := v.Shape()
-	regions := detect.FindEventsBanded(rep.Output, thresh, max(nch/8, 4))
-	return rep.Output, regions, reportOf(rep), nil
+	regions := detect.FindEventsBanded(out, thresh, max(nch/8, 4))
+	return out, regions, rep, nil
+}
+
+// LocalSimilarityMap computes the local-similarity map alone, without
+// event extraction — what a dassw shard returns for its channel slice.
+// Its values are LocalSimilarity's map, bit for bit.
+func (f *Framework) LocalSimilarityMap(v *dass.View, p detect.LocalSimiParams) (*dasf.Array2D, Report, error) {
+	v, sp := traceOp(v, "core.localsimi")
+	out, rep, err := f.localSimilarityMap(v, p, "")
+	sp.EndErr(err)
+	return out, rep, err
+}
+
+func (f *Framework) localSimilarityMap(v *dass.View, p detect.LocalSimiParams, outPath string) (*dasf.Array2D, Report, error) {
+	if err := p.Validate(); err != nil {
+		return nil, Report{}, err
+	}
+	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{
+		Spec: p.Spec(), UDFScratch: p.UDFScratch(),
+	}, outPath)
+	if err != nil {
+		return nil, Report{}, err
+	}
+	if rep.OOM {
+		return nil, reportOf(rep), ErrOutOfMemory
+	}
+	return rep.Output, reportOf(rep), nil
 }
 
 // InterferometryOptions configures ambient-noise interferometry
@@ -392,7 +410,9 @@ func (f *Framework) StackedInterferometry(v *dass.View, opt StackedInterferometr
 
 // STALTA computes the classical short-term/long-term-average trigger map —
 // the single-channel baseline the local-similarity method outperforms on
-// dense arrays.
+// dense arrays. It runs the O(1)-per-cell row kernel (detect.RatioInto),
+// one channel row per engine call; dassd, dassw shards and das_analyze all
+// reach that kernel, so their maps are bit-identical.
 func (f *Framework) STALTA(v *dass.View, p detect.STALTAParams, outPath string) (*dasf.Array2D, Report, error) {
 	v, sp := traceOp(v, "core.stalta")
 	out, rep, err := f.stalta(v, p, outPath)
@@ -404,7 +424,8 @@ func (f *Framework) stalta(v *dass.View, p detect.STALTAParams, outPath string) 
 	if err := p.Validate(); err != nil {
 		return nil, Report{}, err
 	}
-	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}, outPath)
+	_, nt := v.Shape()
+	rep, err := f.engine().RunRows(v, STALTAWorkload(p, nt), outPath)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -412,6 +433,20 @@ func (f *Framework) stalta(v *dass.View, p detect.STALTAParams, outPath string) 
 		return nil, reportOf(rep), ErrOutOfMemory
 	}
 	return rep.Output, reportOf(rep), nil
+}
+
+// STALTAWorkload is the STA/LTA map as a HAEE rows-workload over a view
+// nt samples long: no ghost channels, one Spec().OutSamples(nt) row per
+// channel, written by detect's row kernel. The engine splits channels
+// only, so a row is the same whichever rank or shard computes it.
+func STALTAWorkload(p detect.STALTAParams, nt int) haee.RowsWorkload {
+	return haee.RowsWorkload{
+		Spec:   arrayudf.Spec{},
+		RowLen: p.Spec().OutSamples(nt),
+		UDFInto: func(s *arrayudf.Stencil, _ any, dst []float64, scr *daslib.Scratch) {
+			p.RatioInto(dst, s.Row(0), scr)
+		},
+	}
 }
 
 // Apply runs an arbitrary stencil UDF over the view — the raw

@@ -240,69 +240,6 @@ func TestXCorrMasterFallbackLength(t *testing.T) {
 	bitIdenticalF(t, "XCorrMaster fallback", 100, dst, want)
 }
 
-// TestPlannedPathsAllocFree pins the tentpole promise: after warm-up, the
-// planned destination-passing kernels perform zero heap allocations per
-// call. Runs under -race in CI — the race detector's shadow memory is not
-// Go-heap, so AllocsPerRun still reads 0 on a truly alloc-free path.
-func TestPlannedPathsAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	s := NewScratch()
-	const n = 4096
-	x := randFloats(rng, n)
-	xc := randComplex(rng, n)
-	xcOdd := randComplex(rng, 1000)
-	cdst := make([]complex128, n)
-	cdstOdd := make([]complex128, 1000)
-	fdst := make([]float64, n)
-
-	b, a, err := Butter(4, Bandpass, 0.05, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := NewFilterPlan(b, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mst := PrepareXCorrMaster(x, n)
-	corr := make([]float64, XCorrLen(n, n))
-	res := make([]float64, ResampleLen(n, 1, 4))
-
-	pow2 := PlanFFT(n)
-	blue := PlanFFT(1000)
-	cases := []struct {
-		name string
-		fn   func()
-	}{
-		{"FFTInto/pow2", func() { pow2.FFTInto(cdst, xc, s) }},
-		{"FFTInto/bluestein", func() { blue.FFTInto(cdstOdd, xcOdd, s) }},
-		{"IFFTInto", func() { pow2.IFFTInto(cdst, xc, s) }},
-		{"RFFTInto", func() { RFFTInto(cdst, x, s) }},
-		{"IRFFTInto", func() { IRFFTInto(fdst, cdst, s) }},
-		{"DemeanInPlace", func() { DemeanInPlace(fdst) }},
-		{"DetrendInPlace", func() { DetrendInPlace(fdst) }},
-		{"TaperInPlace", func() { TaperInPlace(fdst, 0.1) }},
-		{"FiltFiltInto", func() {
-			if err := fp.FiltFiltInto(fdst, x, s); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"ResampleInto", func() {
-			if err := ResampleInto(res, x, 1, 4, s); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"XCorrInto", func() { XCorrInto(corr, x, x, s) }},
-		{"XCorrNormalizedInto", func() { XCorrNormalizedInto(corr, x, x, s) }},
-		{"XCorrMaster", func() { mst.XCorrNormalizedInto(corr, x, s) }},
-	}
-	for _, c := range cases {
-		c.fn() // warm plan caches and grow the scratch free lists
-		if avg := testing.AllocsPerRun(10, c.fn); avg != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", c.name, avg)
-		}
-	}
-}
-
 func FuzzRFFTRoundTrip(f *testing.F) {
 	// Seed pow2, odd, and prime lengths so both the packed even path and
 	// the complex fallback get fuzzed from the start.

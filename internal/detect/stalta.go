@@ -78,61 +78,74 @@ func meanSquareWindow(s *arrayudf.Stencil, scr *daslib.Scratch, n int) float64 {
 	return sum / float64(n)
 }
 
-func meanSquare(w []float64) float64 {
-	var s float64
-	for _, v := range w {
-		s += v * v
-	}
-	return s / float64(len(w))
+// Ratio computes the STA/LTA series for one channel directly: out[i] is
+// the ratio at sample i·stride. It is a thin allocating shim over RatioInto.
+func (p STALTAParams) Ratio(x []float64) []float64 {
+	dst := make([]float64, p.Spec().OutSamples(len(x)))
+	p.RatioInto(dst, x, nil)
+	return dst
 }
 
-// Ratio computes the STA/LTA series for one channel directly (serial
-// helper for tests and small jobs): out[i] is the ratio at sample
-// i·stride.
-func (p STALTAParams) Ratio(x []float64) []float64 {
-	stride := p.Stride
-	if stride <= 0 {
-		stride = 1
+// RatioInto is the row form of the trigger, the one every production path
+// runs (DESIGN.md §15): dst[i] is the ratio at sample i·stride of the
+// channel x, and len(dst) must be Spec().OutSamples(len(x)). It keeps the
+// stencil UDF's semantics — trailing windows, the left edge clamped to
+// x[0], NaN gap samples counted as silence with the full window length
+// still the divisor, and 0 wherever the long window holds no energy — but
+// each cell costs O(1): both windows come from one prefix sum of squares.
+//
+// The prefix is compensated — a double-double running total, held as two
+// buffers borrowed from scr — so a window difference taken after a loud
+// burst keeps its relative accuracy: a plain prefix loses the quiet
+// window's low bits to the burst's magnitude. Samples other than NaN gaps
+// must be finite; an infinite square would poison every later prefix.
+func (p STALTAParams) RatioInto(dst, x []float64, scr *daslib.Scratch) {
+	stride := max(p.Stride, 1)
+	if want := p.Spec().OutSamples(len(x)); len(dst) != want {
+		panic(fmt.Sprintf("detect: RatioInto dst length %d, want %d", len(dst), want))
 	}
-	n := (len(x) + stride - 1) / stride
-	out := make([]float64, n)
-	// Prefix sums of squares make each evaluation O(1).
-	prefix := make([]float64, len(x)+1)
+	if len(x) == 0 {
+		return
+	}
+	hi, lo := scr.Float(len(x)+1), scr.Float(len(x)+1)
+	var s, c float64
 	for i, v := range x {
-		prefix[i+1] = prefix[i] + v*v
+		sq := 0.0
+		if !math.IsNaN(v) {
+			sq = v * v
+		}
+		// Double-double accumulation: TwoSum recovers the rounding error
+		// e of s+sq exactly, and the renormalization keeps |c| within half
+		// an ulp of s, so every prefix is exact to about ε²·s.
+		t := s + sq
+		b := t - s
+		e := (s - (t - b)) + (sq - b) + c
+		s = t + e
+		c = e - (s - t)
+		hi[i+1], lo[i+1] = s, c
 	}
-	// window matches the Stencil's clamping semantics: indices outside the
-	// series replicate the nearest edge sample.
-	window := func(lo, hi int) float64 {
-		if len(x) == 0 {
-			return 0
+	edge := hi[1] // x[0]², or 0 for a NaN first sample
+	// window returns the sum of squares over the trailing n samples ending
+	// at t, counting samples left of the row as copies of x[0].
+	window := func(t, n int) float64 {
+		from := t - n + 1
+		if from >= 0 {
+			return (hi[t+1] - hi[from]) + (lo[t+1] - lo[from])
 		}
-		count := float64(hi - lo + 1)
-		var s float64
-		if lo < 0 {
-			s += float64(-lo) * x[0] * x[0]
-			lo = 0
-		}
-		if hi >= len(x) {
-			s += float64(hi-len(x)+1) * x[len(x)-1] * x[len(x)-1]
-			hi = len(x) - 1
-		}
-		if hi >= lo {
-			s += prefix[hi+1] - prefix[lo]
-		}
-		return s / count
+		return (hi[t+1] + lo[t+1]) + float64(-from)*edge
 	}
-	for i := 0; i < n; i++ {
+	for i := range dst {
 		t := i * stride
-		sta := window(t-p.STASamples+1, t)
-		lta := window(t-p.LTASamples+1, t)
+		sta := window(t, p.STASamples) / float64(p.STASamples)
+		lta := window(t, p.LTASamples) / float64(p.LTASamples)
 		if lta <= 0 {
-			out[i] = 0
+			dst[i] = 0
 			continue
 		}
-		out[i] = sta / lta
+		dst[i] = sta / lta
 	}
-	return out
+	scr.ReleaseFloat(lo)
+	scr.ReleaseFloat(hi)
 }
 
 // TriggerRate returns the fraction of evaluated points whose ratio exceeds

@@ -150,6 +150,9 @@ func (s *Server) registerMetrics() {
 	reg.CounterFunc("dassa_panics_total",
 		"handler panics recovered into 500s",
 		func() float64 { return float64(s.panics.Load()) })
+	reg.CounterFunc("dassa_serve_encode_errors_total",
+		"responses whose JSON body failed to encode, answered 500 instead",
+		func() float64 { return float64(encodeErrors.Load()) })
 	reg.GaugeFunc("dassa_quarantined_files",
 		"poisoned files currently circuit-broken out of the catalog",
 		func() float64 { return float64(s.ing.Stats().QuarantinedFiles) })

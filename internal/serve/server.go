@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -338,12 +341,72 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// encodeErrors counts responses whose body failed to encode and went out
+// as a 500 instead (dassa_serve_encode_errors_total). writeJSON serves
+// every route and every Server, so the count is process-wide.
+var encodeErrors atomic.Int64
+
+// bodyPool recycles response-body buffers; one larger than maxPooledBody
+// is left to the collector rather than pinned in the pool.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 16 << 20
+
+func getBody() *bytes.Buffer { return bodyPool.Get().(*bytes.Buffer) }
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// encodeJSON renders v into buf the way every response body is rendered:
+// no HTML escaping, one trailing newline.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
+}
+
+// sendJSON commits the status and writes the encoded body. If encoding
+// failed (encErr), nothing has been sent yet, so the client gets a counted
+// 500 naming the failure instead of a 200 with an empty body.
+func sendJSON(w http.ResponseWriter, code int, buf *bytes.Buffer, encErr error) {
+	if encErr != nil {
+		encodeErrors.Add(1)
+		code = http.StatusInternalServerError
+		if err := encodeJSON(buf, map[string]string{"error": "encode response: " + encErr.Error()}); err != nil {
+			panic(err) // a map of strings always encodes
+		}
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
+}
+
+// writeJSON encodes v in full before committing code.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := getBody()
+	defer putBody(buf)
+	sendJSON(w, code, buf, encodeJSON(buf, v))
+}
+
+// nullGapRows is /read's data with every NaN gap sample as a JSON null:
+// nil for a gap cell, a pointer into arr otherwise, so the values encode
+// exactly as the plain rows would.
+func nullGapRows(arr *dasf.Array2D) [][]*float64 {
+	cells := make([]*float64, len(arr.Data))
+	for i := range arr.Data {
+		if !math.IsNaN(arr.Data[i]) {
+			cells[i] = &arr.Data[i]
+		}
+	}
+	rows := make([][]*float64, arr.Channels)
+	for c := range rows {
+		rows[c] = cells[c*arr.Samples : (c+1)*arr.Samples]
+	}
+	return rows
 }
 
 func badRequest(w http.ResponseWriter, format string, args ...any) {
@@ -539,14 +602,24 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		"gaps":        len(gaps),
 		"distributed": distributed,
 	}
-	if r.URL.Query().Get("data") != "0" {
+	withData := r.URL.Query().Get("data") != "0"
+	if withData {
 		rows := make([][]float64, arr.Channels)
 		for c := range rows {
 			rows[c] = arr.Row(c)
 		}
 		resp["data"] = rows
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := getBody()
+	defer putBody(buf)
+	err = encodeJSON(buf, resp)
+	if err != nil && withData && len(gaps) > 0 {
+		// JSON has no NaN: re-encode with the gap samples as null. Clean
+		// reads never get here, so their bodies keep the plain encoding.
+		resp["data"] = nullGapRows(arr)
+		err = encodeJSON(buf, resp)
+	}
+	sendJSON(w, http.StatusOK, buf, err)
 }
 
 // regionJSON is one detected event in /detect results.
