@@ -25,10 +25,8 @@ import (
 	"dassa/internal/detect"
 	"dassa/internal/faults"
 	"dassa/internal/haee"
-	"dassa/internal/mpi"
 	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
-	"dassa/internal/pfs"
 )
 
 // Exit codes, so scripted pipelines can branch on outcome: 0 = success
@@ -253,13 +251,20 @@ func main() {
 	eng := haee.New(engCfg)
 
 	var rep haee.Report
+	ip := detect.InterferometryParams{
+		Rate: sampleRate, FilterOrder: 3, CutoffHz: *cutoff, ResampleP: 1, ResampleQ: *resampQ,
+		MasterChannel: *master, MaxLag: *maxlag, FailPolicy: policy,
+	}
+	if ip.CutoffHz == 0 {
+		ip.CutoffHz = sampleRate / 8
+	}
 	switch *op {
 	case "localsimi":
 		p := detect.LocalSimiParams{M: *m, K: *k, L: *l, Stride: *stride}
 		if err := p.Validate(); err != nil {
 			fatalUsage("%v", err)
 		}
-		rep, err = eng.RunPoints(v, haee.PointsWorkload{Spec: p.Spec(), UDF: p.UDF()}, *out)
+		rep, err = eng.RunPoints(v, core.LocalSimiWorkload(p), *out)
 		if err != nil {
 			fatalData(err)
 		}
@@ -271,75 +276,24 @@ func main() {
 				float64(r.TLo)*secPerIdx, float64(r.THi)*secPerIdx, r.ChLo, r.ChHi, r.Peak)
 		}
 	case "interferometry":
-		params := detect.InterferometryParams{
-			Rate:          sampleRate,
-			FilterOrder:   3,
-			CutoffHz:      *cutoff,
-			ResampleP:     1,
-			ResampleQ:     *resampQ,
-			MasterChannel: *master,
-			MaxLag:        *maxlag,
-			FailPolicy:    policy,
-		}
-		if params.CutoffHz == 0 {
-			params.CutoffHz = sampleRate / 8
-		}
-		if err := params.Validate(); err != nil {
+		if err := ip.Validate(); err != nil {
 			fatalUsage("%v", err)
 		}
-		parts := params.Workload(nt)
-		wl := haee.RowsWorkload{
-			Spec:    arrayudf.Spec{},
-			RowLen:  parts.RowLen,
-			Prepare: parts.Prepare,
-			UDF:     parts.UDF,
-		}
-		rep, err = eng.RunRows(v, wl, *out)
+		rep, err = eng.RunRows(v, core.InterferometryWorkload(ip, nt), *out)
 		if err != nil {
 			fatalData(err)
 		}
 		fmt.Printf("noise correlations: %d channels × %d lags against master channel %d\n",
 			rep.Output.Channels, rep.Output.Samples, *master)
 	case "stacked":
-		params := detect.StackingParams{
-			InterferometryParams: detect.InterferometryParams{
-				Rate:          sampleRate,
-				FilterOrder:   3,
-				CutoffHz:      *cutoff,
-				ResampleP:     1,
-				ResampleQ:     *resampQ,
-				MasterChannel: *master,
-				MaxLag:        *maxlag,
-				FailPolicy:    policy,
-			},
-			WindowSamples:  *window,
-			OverlapSamples: *overlap,
-		}
-		if params.CutoffHz == 0 {
-			params.CutoffHz = sampleRate / 8
-		}
+		params := detect.StackingParams{InterferometryParams: ip, WindowSamples: *window, OverlapSamples: *overlap}
 		if params.WindowSamples == 0 {
 			params.WindowSamples = max(nt/8, 64)
 		}
 		if err := params.Validate(); err != nil {
 			fatalUsage("%v", err)
 		}
-		// The stacked master is prepared per rank from the view.
-		rowLen := params.StackedRowLen()
-		rep, err = eng.RunRows(v, haee.RowsWorkload{
-			Spec:   arrayudf.Spec{},
-			RowLen: rowLen,
-			Prepare: func(c *mpi.Comm, v *dass.View) (any, int64, pfs.Trace) {
-				m, tr, err := params.PrepareStackedMasterFromView(v)
-				if err != nil {
-					panic(err)
-				}
-				return m, m.Bytes(), tr
-			},
-			UDF: func(s *arrayudf.Stencil, shared any) []float64 {
-				return params.StackedUDF(shared.(*detect.StackedMaster))(s)
-			},
-		}, *out)
+		rep, err = eng.RunRows(v, core.StackedWorkload(v.Context(), params), *out)
 		if err != nil {
 			fatalData(err)
 		}

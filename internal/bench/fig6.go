@@ -29,9 +29,10 @@ func (r Fig6Row) Speedup() float64 {
 }
 
 // RunFig6 reproduces Figure 6: search time plus RCA/VCA construction time
-// as the number of merged files grows. The paper's numbers (search ≤2 ms,
-// VCA ≤10 ms, RCA up to 9978 s, ≈70000× apart) come from the same
-// asymmetry measured here: VCA touches only metadata, RCA moves all data.
+// (timed by timeMerges) as the number of merged files grows. The paper's
+// numbers (search ≤2 ms, VCA ≤10 ms, RCA up to 9978 s, ≈70000× apart) come
+// from the same asymmetry measured here: VCA touches only metadata, RCA
+// moves all data.
 func RunFig6(o Options) ([]Fig6Row, error) {
 	w := o.out()
 	cat, err := EnsureDataset(o)
@@ -61,17 +62,7 @@ func RunFig6(o Options) ([]Fig6Row, error) {
 		}
 		vcaPath := filepath.Join(o.DataDir, fmt.Sprintf("fig6_%d.vca.dasf", n))
 		rcaPath := filepath.Join(o.DataDir, fmt.Sprintf("fig6_%d.rca.dasf", n))
-		vcaTime, err := timeIt(func() error {
-			_, err := dass.CreateVCA(vcaPath, found)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		rcaTime, err := timeIt(func() error {
-			_, err := dass.CreateRCA(rcaPath, found)
-			return err
-		})
+		vcaTime, rcaTime, _, _, err := timeMerges(vcaPath, rcaPath, found)
 		if err != nil {
 			return nil, err
 		}
@@ -105,9 +96,42 @@ type Table1Row struct {
 	ConstructionIO pfs.Trace
 }
 
-// table1Reps is how many interleaved VCA/RCA constructions Table I times
+// mergeReps is how many interleaved VCA/RCA constructions timeMerges times
 // after a warm-up pair; each scheme reports its fastest.
-const table1Reps = 5
+const mergeReps = 5
+
+// timeMerges times building a VCA and an RCA over the same entries, as
+// Figure 6 and Table I both report them. It warms up once (page cache,
+// metadata paths), then alternates the two schemes mergeReps times so drift
+// on a loaded machine hits both alike, and keeps each one's fastest run.
+// The I/O traces are the last construction's.
+func timeMerges(vcaPath, rcaPath string, entries []dass.Entry) (vcaTime, rcaTime time.Duration, vcaIO, rcaIO pfs.Trace, err error) {
+	for i := 0; i <= mergeReps; i++ {
+		// Every timed build creates its file, as a real merge does: an RCA
+		// rewritten in place would only truncate, while a VCA always
+		// creates (it is written to a temporary name and renamed).
+		os.Remove(vcaPath)
+		os.Remove(rcaPath)
+		vt, err := timeIt(func() (err error) { vcaIO, err = dass.CreateVCA(vcaPath, entries); return err })
+		if err != nil {
+			return 0, 0, vcaIO, rcaIO, err
+		}
+		rt, err := timeIt(func() (err error) { rcaIO, err = dass.CreateRCA(rcaPath, entries); return err })
+		if err != nil {
+			return 0, 0, vcaIO, rcaIO, err
+		}
+		if i == 0 {
+			continue
+		}
+		if i == 1 || vt < vcaTime {
+			vcaTime = vt
+		}
+		if i == 1 || rt < rcaTime {
+			rcaTime = rt
+		}
+	}
+	return vcaTime, rcaTime, vcaIO, rcaIO, nil
+}
 
 // RunTable1 reproduces Table I: RCA vs VCA on extra space, construction
 // overhead, duplication across groups, and parallel-read support.
@@ -130,29 +154,9 @@ func RunTable1(o Options) ([]Table1Row, error) {
 	vcaPath := filepath.Join(o.DataDir, "table1.vca.dasf")
 	rcaPath := filepath.Join(o.DataDir, "table1.rca.dasf")
 	defer os.Remove(rcaPath)
-	// Warm up once (page cache, metadata paths), then alternate the two
-	// schemes so drift on a loaded machine hits both alike, and keep each
-	// one's fastest run.
-	var vcaTime, rcaTime time.Duration
-	var vcaIO, rcaIO pfs.Trace
-	for i := 0; i <= table1Reps; i++ {
-		vt, err := timeIt(func() (err error) { vcaIO, err = dass.CreateVCA(vcaPath, entries); return err })
-		if err != nil {
-			return nil, err
-		}
-		rt, err := timeIt(func() (err error) { rcaIO, err = dass.CreateRCA(rcaPath, entries); return err })
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			continue
-		}
-		if i == 1 || vt < vcaTime {
-			vcaTime = vt
-		}
-		if i == 1 || rt < rcaTime {
-			rcaTime = rt
-		}
+	vcaTime, rcaTime, vcaIO, rcaIO, err := timeMerges(vcaPath, rcaPath, entries)
+	if err != nil {
+		return nil, err
 	}
 	vcaSize := int64(0)
 	if st, err := os.Stat(vcaPath); err == nil {

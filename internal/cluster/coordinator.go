@@ -650,9 +650,18 @@ func (co *Coordinator) runShard(ctx context.Context, id uint64, req Request, fil
 			oc.res, oc.data, oc.worker, oc.err = reply.res, reply.data, reply.worker, nil
 			return oc
 		}
-		if reply.cancelled && ctx.Err() != nil {
-			oc.err, oc.cancelled = ctx.Err(), true
-			return oc
+		if reply.cancelled {
+			// The worker holds our absolute deadline and can report it
+			// before our own context timer has fired. If the deadline has
+			// passed by our clock, that timer is due: wait for it so the
+			// run is reported as the cancellation it is.
+			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+				<-ctx.Done()
+			}
+			if ctx.Err() != nil {
+				oc.err, oc.cancelled = ctx.Err(), true
+				return oc
+			}
 		}
 		co.cfg.Log.Debug("cluster: shard attempt failed",
 			"id", id, "shard", sh.idx, "attempt", attempt, "err", reply.err)

@@ -13,6 +13,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -225,6 +226,19 @@ func reportOf(rep haee.Report) Report {
 	return out
 }
 
+// result is the tail every Framework run shares: an engine error passes
+// through, an over-budget run becomes ErrOutOfMemory, and anything else
+// yields the output with its report.
+func result(rep haee.Report, err error) (*dasf.Array2D, Report, error) {
+	if err != nil {
+		return nil, Report{}, err
+	}
+	if rep.OOM {
+		return nil, reportOf(rep), ErrOutOfMemory
+	}
+	return rep.Output, reportOf(rep), nil
+}
+
 // LocalSimiOptions configures earthquake detection (Algorithm 2).
 type LocalSimiOptions struct {
 	detect.LocalSimiParams
@@ -297,16 +311,14 @@ func (f *Framework) localSimilarityMap(v *dass.View, p detect.LocalSimiParams, o
 	if err := p.Validate(); err != nil {
 		return nil, Report{}, err
 	}
-	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{
-		Spec: p.Spec(), UDFScratch: p.UDFScratch(),
-	}, outPath)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if rep.OOM {
-		return nil, reportOf(rep), ErrOutOfMemory
-	}
-	return rep.Output, reportOf(rep), nil
+	return result(f.engine().RunPoints(v, LocalSimiWorkload(p), outPath))
+}
+
+// LocalSimiWorkload is the local-similarity map (Algorithm 2) as a HAEE
+// points-workload: K ghost channels, one value every Stride samples,
+// evaluated with window buffers from the per-thread scratch arena.
+func LocalSimiWorkload(p detect.LocalSimiParams) haee.PointsWorkload {
+	return haee.PointsWorkload{Spec: p.Spec(), UDFScratch: p.UDFScratch()}
 }
 
 // InterferometryOptions configures ambient-noise interferometry
@@ -338,21 +350,16 @@ func (f *Framework) Interferometry(v *dass.View, opt InterferometryOptions) (*da
 		opt.FailPolicy = f.cfg.FailPolicy // framework default unless overridden
 	}
 	_, nt := v.Shape()
-	parts := opt.Workload(nt)
-	rep, err := f.engine().RunRows(v, haee.RowsWorkload{
-		Spec:    arrayudf.Spec{},
-		RowLen:  parts.RowLen,
-		Prepare: parts.Prepare,
-		UDF:     parts.UDF,
-		UDFInto: parts.UDFInto,
-	}, opt.OutPath)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if rep.OOM {
-		return nil, reportOf(rep), ErrOutOfMemory
-	}
-	return rep.Output, reportOf(rep), nil
+	return result(f.engine().RunRows(v, InterferometryWorkload(opt.InterferometryParams, nt), opt.OutPath))
+}
+
+// InterferometryWorkload is ambient-noise interferometry (Algorithm 3) as a
+// HAEE rows-workload over a view nt samples long: Prepare reads and
+// preprocesses the master channel once per rank, and each channel's row is
+// its noise correlation with the master, trimmed to ±MaxLag.
+func InterferometryWorkload(p detect.InterferometryParams, nt int) haee.RowsWorkload {
+	parts := p.Workload(nt)
+	return haee.RowsWorkload{RowLen: parts.RowLen, Prepare: parts.Prepare, UDFInto: parts.UDFInto}
 }
 
 // StackedInterferometryOptions configures windowed interferometry with
@@ -385,27 +392,28 @@ func (f *Framework) StackedInterferometry(v *dass.View, opt StackedInterferometr
 	if opt.FailPolicy == dass.FailAbort {
 		opt.FailPolicy = f.cfg.FailPolicy
 	}
-	rep, err := f.engine().RunRows(v, haee.RowsWorkload{
-		Spec:   arrayudf.Spec{},
-		RowLen: opt.StackedRowLen(),
-		Prepare: func(c *mpi.Comm, view *dass.View) (any, int64, pfs.Trace) {
-			m, tr, err := opt.PrepareStackedMasterFromView(view)
+	return result(f.engine().RunRows(v, StackedWorkload(v.Context(), opt.StackingParams), opt.OutPath))
+}
+
+// StackedWorkload is windowed interferometry with correlation stacking as a
+// HAEE rows-workload: Prepare builds the per-window master once per rank,
+// and each channel's row is its per-window correlations averaged. ctx is
+// checked at every window boundary, so a cancelled run stops within one
+// window's work.
+func StackedWorkload(ctx context.Context, p detect.StackingParams) haee.RowsWorkload {
+	return haee.RowsWorkload{
+		RowLen: p.StackedRowLen(),
+		Prepare: func(c *mpi.Comm, v *dass.View) (any, int64, pfs.Trace) {
+			m, tr, err := p.PrepareStackedMasterFromView(v)
 			if err != nil {
 				panic(fmt.Errorf("core: stacked master: %w", err))
 			}
 			return m, m.Bytes(), tr
 		},
 		UDFInto: func(s *arrayudf.Stencil, shared any, dst []float64, scr *daslib.Scratch) {
-			opt.StackedUDFIntoContext(v.Context(), shared.(*detect.StackedMaster))(s, dst, scr)
+			p.StackedUDFIntoContext(ctx, shared.(*detect.StackedMaster))(s, dst, scr)
 		},
-	}, opt.OutPath)
-	if err != nil {
-		return nil, Report{}, err
 	}
-	if rep.OOM {
-		return nil, reportOf(rep), ErrOutOfMemory
-	}
-	return rep.Output, reportOf(rep), nil
 }
 
 // STALTA computes the classical short-term/long-term-average trigger map —
@@ -425,14 +433,7 @@ func (f *Framework) stalta(v *dass.View, p detect.STALTAParams, outPath string) 
 		return nil, Report{}, err
 	}
 	_, nt := v.Shape()
-	rep, err := f.engine().RunRows(v, STALTAWorkload(p, nt), outPath)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if rep.OOM {
-		return nil, reportOf(rep), ErrOutOfMemory
-	}
-	return rep.Output, reportOf(rep), nil
+	return result(f.engine().RunRows(v, STALTAWorkload(p, nt), outPath))
 }
 
 // STALTAWorkload is the STA/LTA map as a HAEE rows-workload over a view
@@ -441,7 +442,6 @@ func (f *Framework) stalta(v *dass.View, p detect.STALTAParams, outPath string) 
 // only, so a row is the same whichever rank or shard computes it.
 func STALTAWorkload(p detect.STALTAParams, nt int) haee.RowsWorkload {
 	return haee.RowsWorkload{
-		Spec:   arrayudf.Spec{},
 		RowLen: p.Spec().OutSamples(nt),
 		UDFInto: func(s *arrayudf.Stencil, _ any, dst []float64, scr *daslib.Scratch) {
 			p.RatioInto(dst, s.Row(0), scr)
@@ -464,17 +464,10 @@ func (f *Framework) apply(v *dass.View, ghostChannels, timeStride int, udf func(
 	if udf == nil {
 		return nil, Report{}, fmt.Errorf("core: Apply needs a UDF")
 	}
-	rep, err := f.engine().RunPoints(v, haee.PointsWorkload{
+	return result(f.engine().RunPoints(v, haee.PointsWorkload{
 		Spec: arrayudf.Spec{GhostChannels: ghostChannels, TimeStride: timeStride},
 		UDF:  udf,
-	}, outPath)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if rep.OOM {
-		return nil, reportOf(rep), ErrOutOfMemory
-	}
-	return rep.Output, reportOf(rep), nil
+	}, outPath))
 }
 
 // CleanMergeFiles removes the VCA files Merge wrote into the dataset

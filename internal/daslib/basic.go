@@ -6,15 +6,6 @@ import (
 	"sync"
 )
 
-// Demean subtracts the mean of x, returning a new slice — a thin
-// allocating shim over DemeanInPlace.
-func Demean(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	DemeanInPlace(out)
-	return out
-}
-
 // DemeanInPlace subtracts the mean of x in place.
 func DemeanInPlace(x []float64) {
 	if len(x) == 0 {
@@ -323,16 +314,10 @@ func taperRamp(w int) []float64 {
 	return r
 }
 
-// Taper applies a cosine (Tukey-style) taper covering frac of each end of
-// x in place and returns x, the standard pre-processing step before
-// spectral analysis of seismic windows.
-func Taper(x []float64, frac float64) []float64 {
-	TaperInPlace(x, frac)
-	return x
-}
-
-// TaperInPlace is Taper without the return value — the canonical mutating
-// form, with the cosine ramp served from the per-width cache.
+// TaperInPlace applies a cosine (Tukey-style) taper covering frac of each
+// end of x in place — the standard pre-processing step before spectral
+// analysis of seismic windows — with the cosine ramp served from the
+// per-width cache.
 func TaperInPlace(x []float64, frac float64) {
 	n := len(x)
 	w := int(frac * float64(n))
@@ -365,24 +350,10 @@ func OneBitNormalize(x []float64) []float64 {
 	return out
 }
 
-// SpectralWhiten flattens the amplitude spectrum of x (keeping phase),
-// optionally restricted to [loHz, hiHz] at the given rate; outside the band
-// the spectrum is zeroed. Used by ambient-noise interferometry. A thin
-// allocating shim over SpectralWhitenInto.
-func SpectralWhiten(x []float64, loHz, hiHz, rate float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	s := GetScratch()
-	SpectralWhitenInto(out, x, loHz, hiHz, rate, s)
-	PutScratch(s)
-	return out
-}
-
-// SpectralWhitenInto is SpectralWhiten writing into dst (len(dst) ==
-// len(x); dst may alias x), borrowing the spectrum buffer from s. Both
+// SpectralWhitenInto flattens the amplitude spectrum of x (keeping phase)
+// into dst (len(dst) == len(x); dst may alias x), restricted to [loHz,
+// hiHz] at the given rate; outside the band the spectrum is zeroed. Used by
+// ambient-noise interferometry. The spectrum buffer is borrowed from s. Both
 // transforms take the packed real-input path, and the bin frequencies come
 // from fftFreqAbs rather than a materialized FFTFreqs table.
 func SpectralWhitenInto(dst, x []float64, loHz, hiHz, rate float64, s *Scratch) {

@@ -8,16 +8,15 @@ import (
 )
 
 func TestDemean(t *testing.T) {
-	got := Demean([]float64{1, 2, 3, 4})
+	got := []float64{1, 2, 3, 4}
+	DemeanInPlace(got)
 	want := []float64{-1.5, -0.5, 0.5, 1.5}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Errorf("Demean[%d] = %g, want %g", i, got[i], want[i])
 		}
 	}
-	if len(Demean(nil)) != 0 {
-		t.Error("Demean(nil) should be empty")
-	}
+	DemeanInPlace(nil) // must not panic
 }
 
 func TestDetrendRemovesLine(t *testing.T) {
@@ -278,7 +277,7 @@ func TestTaper(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	Taper(x, 0.1)
+	TaperInPlace(x, 0.1)
 	if x[0] != 0 || x[99] != 0 {
 		t.Error("taper endpoints should be 0")
 	}
@@ -292,7 +291,7 @@ func TestTaper(t *testing.T) {
 	}
 	// frac 0 is a no-op.
 	y := []float64{1, 2, 3}
-	Taper(y, 0)
+	TaperInPlace(y, 0)
 	if y[0] != 1 || y[2] != 3 {
 		t.Error("frac=0 should not modify")
 	}
@@ -316,7 +315,8 @@ func TestSpectralWhitenFlattens(t *testing.T) {
 		ti := float64(i) / rate
 		x[i] = 10*math.Sin(2*math.Pi*10*ti) + 0.5*math.Sin(2*math.Pi*20*ti)
 	}
-	y := SpectralWhiten(x, 5, 30, rate)
+	y := make([]float64, n)
+	SpectralWhitenInto(y, x, 5, 30, rate, nil)
 	spec := FFTReal(y)
 	freqs := FFTFreqs(n, rate)
 	var in10, in20, out40 float64
@@ -343,6 +343,13 @@ func TestSpectralWhitenFlattens(t *testing.T) {
 	}
 }
 
+// xcorr is the raw cross-correlation through XCorrInto.
+func xcorr(a, b []float64) []float64 {
+	out := make([]float64, XCorrLen(len(a), len(b)))
+	XCorrInto(out, a, b, NewScratch())
+	return out
+}
+
 func TestXCorrMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, tc := range []struct{ na, nb int }{{5, 5}, {8, 3}, {3, 8}, {1, 1}, {16, 16}} {
@@ -354,7 +361,7 @@ func TestXCorrMatchesNaive(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		got := XCorr(a, b)
+		got := xcorr(a, b)
 		// Naive: out[i] corresponds to lag l = i - (nb-1);
 		// out[i] = sum_n a[n] b[n - l].
 		n := tc.na + tc.nb - 1
@@ -393,8 +400,8 @@ func TestXCorrNormalizedSelfPeak(t *testing.T) {
 			t.Errorf("normalized value %g > 1 at %d", v, i)
 		}
 	}
-	if XCorr(nil, a) != nil {
-		t.Error("XCorr with empty input should be nil")
+	if XCorrNormalized(nil, a) != nil {
+		t.Error("XCorrNormalized with empty input should be nil")
 	}
 }
 
@@ -408,7 +415,7 @@ func TestXCorrDetectsShift(t *testing.T) {
 	}
 	b := make([]float64, n)
 	copy(b[shift:], a[:n-shift]) // b[t] = a[t-shift]
-	out := XCorr(a, b)
+	out := xcorr(a, b)
 	best, bestLag := math.Inf(-1), 0
 	for i, v := range out {
 		if v > best {

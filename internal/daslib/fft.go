@@ -23,25 +23,10 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// FFT computes the discrete Fourier transform of x (any length) and returns
-// a new slice. Power-of-two lengths use an iterative radix-2 Cooley-Tukey;
-// other lengths use Bluestein's chirp-z algorithm, so the cost is
-// O(n log n) for every n. Matches Das_fft in the paper's Table II.
-//
-// FFT is a thin allocating shim over Plan.FFTInto; hot loops should hold a
-// Plan and a Scratch and call the Into variant directly.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	if len(x) == 0 {
-		return out
-	}
-	s := GetScratch()
-	PlanFFT(len(x)).FFTInto(out, x, s)
-	PutScratch(s)
-	return out
-}
-
-// IFFT computes the inverse DFT with 1/n normalization. Matches Das_ifft.
+// IFFT computes the inverse DFT with 1/n normalization, matching Das_ifft
+// (the paper's Table II). The forward transform is Plan.FFTInto: power-of-
+// two lengths use an iterative radix-2 Cooley-Tukey, other lengths
+// Bluestein's chirp-z algorithm, so the cost is O(n log n) for every n.
 func IFFT(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	if len(x) == 0 {
@@ -53,17 +38,32 @@ func IFFT(x []complex128) []complex128 {
 	return out
 }
 
-// FFTReal transforms a real signal, returning the full complex spectrum.
-// Even lengths go through the packed real-input transform (RFFT), which
-// does half the work of a complex FFT of the same length.
+// FFTReal transforms a real signal, returning the full complex spectrum
+// (Das_fft on real input) — a thin allocating shim over RFFTInto, whose
+// even lengths take the packed real-input transform at half the work of a
+// complex FFT of the same length.
 func FFTReal(x []float64) []complex128 {
-	return RFFT(x)
+	out := make([]complex128, len(x))
+	if len(x) == 0 {
+		return out
+	}
+	s := GetScratch()
+	RFFTInto(out, x, s)
+	PutScratch(s)
+	return out
 }
 
 // IFFTReal inverts a spectrum known to come from a real signal, returning
-// the real part (the imaginary residue is numerical noise).
-func IFFTReal(x []complex128) []float64 {
-	return IRFFT(x)
+// the real signal — a thin allocating shim over IRFFTInto.
+func IFFTReal(spec []complex128) []float64 {
+	out := make([]float64, len(spec))
+	if len(spec) == 0 {
+		return out
+	}
+	s := GetScratch()
+	IRFFTInto(out, spec, s)
+	PutScratch(s)
+	return out
 }
 
 // twiddleCache holds precomputed unit-circle factors per transform size.

@@ -33,6 +33,16 @@ func maxAbsDiff(a, b []complex128) float64 {
 	return m
 }
 
+// fft is the complex forward DFT through the planned kernel, the reference
+// the tests below check against the naive DFT and its algebraic laws.
+func fft(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	if len(x) > 0 {
+		PlanFFT(len(x)).FFTInto(out, x, NewScratch())
+	}
+	return out
+}
+
 func randComplex(rng *rand.Rand, n int) []complex128 {
 	out := make([]complex128, n)
 	for i := range out {
@@ -55,17 +65,17 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	// Both power-of-two (radix-2) and arbitrary (Bluestein) lengths.
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 31, 32, 33, 60, 64, 100, 127, 128} {
 		x := randComplex(rng, n)
-		got := FFT(x)
+		got := fft(x)
 		want := dftNaive(x)
 		if d := maxAbsDiff(got, want); d > 1e-8*float64(n) {
-			t.Errorf("n=%d: FFT differs from naive DFT by %g", n, d)
+			t.Errorf("n=%d: FFTInto differs from naive DFT by %g", n, d)
 		}
 	}
 }
 
 func TestFFTKnownValues(t *testing.T) {
 	// FFT of [1,0,0,0] is all ones.
-	got := FFT([]complex128{1, 0, 0, 0})
+	got := fft([]complex128{1, 0, 0, 0})
 	for i, v := range got {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Errorf("impulse FFT[%d] = %v", i, v)
@@ -77,7 +87,7 @@ func TestFFTKnownValues(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Exp(complex(0, 2*math.Pi*5*float64(i)/n))
 	}
-	spec := FFT(x)
+	spec := fft(x)
 	for k, v := range spec {
 		mag := cmplx.Abs(v)
 		if k == 5 && math.Abs(mag-n) > 1e-9 {
@@ -106,7 +116,7 @@ func TestIFFTInvertsFFTProperty(t *testing.T) {
 			}
 			x[i] = complex(re[i], im[i])
 		}
-		back := IFFT(FFT(x))
+		back := IFFT(fft(x))
 		scale := 0.0
 		for _, v := range x {
 			scale = math.Max(scale, cmplx.Abs(v))
@@ -157,7 +167,7 @@ func TestFFTLinearityProperty(t *testing.T) {
 		for i := range sum {
 			sum[i] = 2*x[i] + 3*y[i]
 		}
-		fx, fy, fs := FFT(x), FFT(y), FFT(sum)
+		fx, fy, fs := fft(x), fft(y), fft(sum)
 		for i := range fs {
 			want := 2*fx[i] + 3*fy[i]
 			if cmplx.Abs(fs[i]-want) > 1e-9 {
@@ -209,34 +219,31 @@ func TestFFTFreqs(t *testing.T) {
 }
 
 func TestFFTEmptyAndSingle(t *testing.T) {
-	if got := FFT(nil); len(got) != 0 {
-		t.Error("FFT(nil) should be empty")
+	if got := IFFT(nil); len(got) != 0 {
+		t.Error("IFFT(nil) should be empty")
 	}
-	got := FFT([]complex128{complex(3, -2)})
-	if len(got) != 1 || got[0] != complex(3, -2) {
-		t.Errorf("FFT singleton = %v", got)
+	got := make([]complex128, 1)
+	PlanFFT(1).FFTInto(got, []complex128{complex(3, -2)}, nil)
+	if got[0] != complex(3, -2) {
+		t.Errorf("FFTInto singleton = %v", got)
 	}
 	if got := IFFT([]complex128{complex(4, 0)}); got[0] != complex(4, 0) {
 		t.Errorf("IFFT singleton = %v", got)
 	}
 }
 
-func BenchmarkFFTPow2_4096(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randComplex(rng, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FFT(x)
-	}
-}
+func BenchmarkFFTPow2_4096(b *testing.B) { benchmarkFFT(b, 4096) }
 
-func BenchmarkFFTBluestein_4095(b *testing.B) {
+func BenchmarkFFTBluestein_4095(b *testing.B) { benchmarkFFT(b, 4095) }
+
+func benchmarkFFT(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
-	x := randComplex(rng, 4095)
+	x := randComplex(rng, n)
+	dst := make([]complex128, n)
+	p, s := PlanFFT(n), NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		p.FFTInto(dst, x, s)
 	}
 }

@@ -458,44 +458,3 @@ func polyvalZ(c []float64, z complex128) complex128 {
 	}
 	return acc
 }
-
-// BandpassFilter is a convenience wrapper: design an order-n Butterworth
-// bandpass for [lo, hi] Hz at the given sampling rate and zero-phase
-// filter x.
-func BandpassFilter(x []float64, order int, loHz, hiHz, rate float64) ([]float64, error) {
-	nyq := rate / 2
-	b, a, err := Butter(order, Bandpass, loHz/nyq, hiHz/nyq)
-	if err != nil {
-		return nil, err
-	}
-	return FiltFilt(b, a, x)
-}
-
-// LowpassFilter zero-phase lowpass-filters x below cutHz.
-func LowpassFilter(x []float64, order int, cutHz, rate float64) ([]float64, error) {
-	b, a, err := Butter(order, Lowpass, cutHz/(rate/2))
-	if err != nil {
-		return nil, err
-	}
-	return FiltFilt(b, a, x)
-}
-
-// HighpassFilter zero-phase highpass-filters x above cutHz.
-func HighpassFilter(x []float64, order int, cutHz, rate float64) ([]float64, error) {
-	b, a, err := Butter(order, Highpass, cutHz/(rate/2))
-	if err != nil {
-		return nil, err
-	}
-	return FiltFilt(b, a, x)
-}
-
-// NotchFilter zero-phase bandstop-filters x between loHz and hiHz —
-// removing powerline hum or a machinery line from DAS records.
-func NotchFilter(x []float64, order int, loHz, hiHz, rate float64) ([]float64, error) {
-	nyq := rate / 2
-	b, a, err := Butter(order, Bandstop, loHz/nyq, hiHz/nyq)
-	if err != nil {
-		return nil, err
-	}
-	return FiltFilt(b, a, x)
-}

@@ -144,19 +144,6 @@ func (p *Plan) IFFTInto(dst, src []complex128, s *Scratch) {
 	conjScale(dst, 1/float64(p.n))
 }
 
-// RFFT transforms a real signal, returning the full complex spectrum — a
-// thin allocating shim over RFFTInto.
-func RFFT(x []float64) []complex128 {
-	out := make([]complex128, len(x))
-	if len(x) == 0 {
-		return out
-	}
-	s := GetScratch()
-	RFFTInto(out, x, s)
-	PutScratch(s)
-	return out
-}
-
 // RFFTInto computes the full n-point DFT of the real signal x into dst
 // (len(dst) == len(x)). Even lengths are transformed via an n/2-point
 // complex FFT of the packed signal z[k] = x[2k] + i·x[2k+1] — half the
@@ -222,19 +209,6 @@ func rfftZeroPad(dst []complex128, x []float64, s *Scratch) {
 		dst[k+half] = e - wo
 	}
 	s.ReleaseComplex(z)
-}
-
-// IRFFT inverts a spectrum known to come from a real signal, returning the
-// real signal — a thin allocating shim over IRFFTInto.
-func IRFFT(spec []complex128) []float64 {
-	out := make([]float64, len(spec))
-	if len(spec) == 0 {
-		return out
-	}
-	s := GetScratch()
-	IRFFTInto(out, spec, s)
-	PutScratch(s)
-	return out
 }
 
 // IRFFTInto computes the real inverse DFT of a conjugate-symmetric spectrum

@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// The planned/into kernel layer promises bit-identity with the allocating
-// API: every allocating function is a thin shim over its Into counterpart,
-// and these tests pin that contract over randomized inputs — including odd
-// and prime lengths that take the Bluestein path — so an "optimization"
-// that changes operation order (and therefore rounding) fails loudly.
+// The planned/into kernel layer is the one implementation of each kernel;
+// the few allocating helpers left (IFFT, FFTReal, IFFTReal, Detrend,
+// FiltFilt, Resample, XCorrNormalized) are thin shims over it. These tests
+// pin that shim contract bit for bit over randomized inputs — including odd
+// and prime lengths that take the Bluestein path — along with aliasing and
+// scratch reuse, so an "optimization" that changes operation order (and
+// therefore rounding) fails loudly.
 
 // testLengths mixes power-of-two (radix-2), odd, and prime (Bluestein)
 // sizes.
@@ -55,7 +57,9 @@ func TestFFTIntoBitIdentical(t *testing.T) {
 	s := NewScratch()
 	for _, n := range testLengths {
 		x := randComplex(rng, n)
-		want := FFT(x)
+		// A warm arena and a nil one must give the same bits.
+		want := make([]complex128, n)
+		PlanFFT(n).FFTInto(want, x, nil)
 		dst := make([]complex128, n)
 		PlanFFT(n).FFTInto(dst, x, s)
 		bitIdenticalC(t, "FFTInto", n, dst, want)
@@ -72,7 +76,7 @@ func TestFFTIntoAliased(t *testing.T) {
 	s := NewScratch()
 	for _, n := range []int{8, 61, 128} {
 		x := randComplex(rng, n)
-		want := FFT(x)
+		want := fft(x)
 		buf := append([]complex128(nil), x...)
 		PlanFFT(n).FFTInto(buf, buf, s)
 		bitIdenticalC(t, "FFTInto aliased", n, buf, want)
@@ -84,15 +88,13 @@ func TestRFFTBitIdenticalToFFTReal(t *testing.T) {
 	s := NewScratch()
 	for _, n := range testLengths {
 		x := randFloats(rng, n)
-		// FFTReal is itself a shim over RFFT; pin both against RFFTInto.
+		// FFTReal and IFFTReal are shims over RFFTInto and IRFFTInto.
 		want := FFTReal(x)
-		bitIdenticalC(t, "RFFT", n, RFFT(x), want)
 		dst := make([]complex128, n)
 		RFFTInto(dst, x, s)
 		bitIdenticalC(t, "RFFTInto", n, dst, want)
 
 		back := IFFTReal(want)
-		bitIdenticalF(t, "IRFFT", n, IRFFT(want), back)
 		fdst := make([]float64, n)
 		IRFFTInto(fdst, want, s)
 		bitIdenticalF(t, "IRFFTInto", n, fdst, back)
@@ -110,9 +112,9 @@ func TestRFFTMatchesNaiveDFT(t *testing.T) {
 			xc[i] = complex(v, 0)
 		}
 		want := dftNaive(xc)
-		got := RFFT(x)
+		got := FFTReal(x)
 		if d := maxAbsDiff(got, want); d > 1e-8*float64(n) {
-			t.Errorf("n=%d: RFFT differs from naive DFT by %g", n, d)
+			t.Errorf("n=%d: RFFTInto differs from naive DFT by %g", n, d)
 		}
 	}
 }
@@ -123,16 +125,8 @@ func TestInPlaceVariantsBitIdentical(t *testing.T) {
 		x := randFloats(rng, n)
 
 		buf := append([]float64(nil), x...)
-		DemeanInPlace(buf)
-		bitIdenticalF(t, "DemeanInPlace", n, buf, Demean(x))
-
-		copy(buf, x)
 		DetrendInPlace(buf)
 		bitIdenticalF(t, "DetrendInPlace", n, buf, Detrend(x))
-
-		copy(buf, x)
-		TaperInPlace(buf, 0.1)
-		bitIdenticalF(t, "TaperInPlace", n, buf, Taper(x, 0.1))
 	}
 }
 
@@ -141,9 +135,11 @@ func TestSpectralWhitenIntoBitIdentical(t *testing.T) {
 	s := NewScratch()
 	for _, n := range []int{33, 61, 128, 1000} {
 		x := randFloats(rng, n)
-		want := SpectralWhiten(x, 5, 40, 200)
-		dst := make([]float64, n)
-		SpectralWhitenInto(dst, x, 5, 40, 200, s)
+		// dst may alias x: whitening in place gives the same bits.
+		want := make([]float64, n)
+		SpectralWhitenInto(want, x, 5, 40, 200, nil)
+		dst := append([]float64(nil), x...)
+		SpectralWhitenInto(dst, dst, 5, 40, 200, s)
 		bitIdenticalF(t, "SpectralWhitenInto", n, dst, want)
 	}
 }
@@ -196,11 +192,7 @@ func TestXCorrIntoBitIdentical(t *testing.T) {
 		a := randFloats(rng, c.na)
 		b := randFloats(rng, c.nb)
 
-		want := XCorr(a, b)
 		dst := make([]float64, XCorrLen(c.na, c.nb))
-		XCorrInto(dst, a, b, s)
-		bitIdenticalF(t, "XCorrInto", c.na, dst, want)
-
 		wantN := XCorrNormalized(a, b)
 		XCorrNormalizedInto(dst, a, b, s)
 		bitIdenticalF(t, "XCorrNormalizedInto", c.na, dst, wantN)
@@ -221,7 +213,6 @@ func TestXCorrMasterBitIdentical(t *testing.T) {
 			dst := make([]float64, XCorrLen(n, n))
 			mst.XCorrNormalizedInto(dst, a, s)
 			bitIdenticalF(t, "XCorrMaster", n, dst, want)
-			bitIdenticalF(t, "XCorrWithSpectrum", n, XCorrWithSpectrum(a, mst), want)
 		}
 	}
 }
@@ -254,8 +245,8 @@ func FuzzRFFTRoundTrip(f *testing.F) {
 		x := randFloats(rng, n)
 
 		// Round trip within tolerance.
-		spec := RFFT(x)
-		back := IRFFT(spec)
+		spec := FFTReal(x)
+		back := IFFTReal(spec)
 		if len(back) != n {
 			t.Fatalf("round trip length %d, want %d", len(back), n)
 		}
@@ -279,11 +270,12 @@ func FuzzRFFTRoundTrip(f *testing.F) {
 			}
 		}
 
-		// And RFFT must agree with the generic complex transform.
+		// And a warm arena must not change the bits.
 		s := NewScratch()
 		dst := make([]complex128, n)
 		RFFTInto(dst, x, s)
-		bitIdenticalC(t, "RFFTInto vs RFFT", n, dst, spec)
+		RFFTInto(dst, x, s)
+		bitIdenticalC(t, "RFFTInto vs FFTReal", n, dst, spec)
 	})
 }
 

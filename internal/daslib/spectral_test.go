@@ -193,7 +193,7 @@ func TestFilterConveniences(t *testing.T) {
 		x[i] = math.Sin(2*math.Pi*5*ti) + math.Sin(2*math.Pi*60*ti) + math.Sin(2*math.Pi*150*ti)
 	}
 	// Lowpass keeps 5 Hz, kills 150 Hz.
-	y, err := LowpassFilter(x, 4, 20, rate)
+	y, err := butterFiltFilt(x, 4, Lowpass, rate, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFilterConveniences(t *testing.T) {
 		t.Errorf("lowpass correlation with 5 Hz = %g", c)
 	}
 	// Highpass keeps 150 Hz.
-	y, err = HighpassFilter(x, 4, 100, rate)
+	y, err = butterFiltFilt(x, 4, Highpass, rate, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestFilterConveniences(t *testing.T) {
 		t.Errorf("highpass correlation with 150 Hz = %g", c)
 	}
 	// Notch removes 60 Hz hum, keeps the rest.
-	y, err = NotchFilter(x, 3, 50, 70, rate)
+	y, err = butterFiltFilt(x, 3, Bandstop, rate, 50, 70)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// XCorrLen returns the number of lags XCorr produces for inputs of length
+// XCorrLen returns the number of lags XCorrInto produces for inputs of length
 // na and nb: na+nb-1.
 func XCorrLen(na, nb int) int {
 	if na == 0 || nb == 0 {
@@ -14,27 +14,14 @@ func XCorrLen(na, nb int) int {
 	return na + nb - 1
 }
 
-// XCorr computes the full linear cross-correlation of a and b via FFT:
-// out[k] = sum_n a[n+k-(len(b)-1)] · b[n], for lags k-(len(b)-1) in
-// [-(len(b)-1), len(a)-1], matching MATLAB's xcorr(a, b) ordering
-// (negative lags first). Runs in O((n+m) log(n+m)).
-//
-// XCorr is a thin allocating shim over XCorrInto.
-func XCorr(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, XCorrLen(len(a), len(b)))
-	s := GetScratch()
-	XCorrInto(out, a, b, s)
-	PutScratch(s)
-	return out
-}
-
-// XCorrInto is XCorr writing into dst (len XCorrLen(len(a), len(b))),
-// borrowing all intermediates from s. Both spectra go through the packed
-// real-input transform, so the whole correlation costs two half-size FFTs
-// plus one half-size inverse — and zero allocations once s is warm.
+// XCorrInto computes the full linear cross-correlation of a and b via FFT
+// into dst (len XCorrLen(len(a), len(b))): dst[k] = sum_n a[n+k-(len(b)-1)]
+// · b[n], for lags k-(len(b)-1) in [-(len(b)-1), len(a)-1], matching
+// MATLAB's xcorr(a, b) ordering (negative lags first). All intermediates
+// are borrowed from s. Both spectra go through the packed real-input
+// transform, so the whole correlation costs two half-size FFTs plus one
+// half-size inverse — O((n+m) log(n+m)), and zero allocations once s is
+// warm.
 func XCorrInto(dst, a, b []float64, s *Scratch) {
 	n := XCorrLen(len(a), len(b))
 	checkLen("XCorrInto dst", len(dst), n)
@@ -63,7 +50,7 @@ func XCorrInto(dst, a, b []float64, s *Scratch) {
 	s.ReleaseComplex(fa)
 }
 
-// XCorrNormalized is XCorr scaled by 1/√(E_a·E_b), so a perfect alignment
+// XCorrNormalized is the cross-correlation scaled by 1/√(E_a·E_b), so a perfect alignment
 // of identical signals peaks at 1 (the 'coeff' option of MATLAB's xcorr).
 func XCorrNormalized(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
@@ -179,20 +166,6 @@ func (mst *XCorrMaster) XCorrNormalizedInto(dst, a []float64, s *Scratch) {
 	s.ReleaseFloat(tmp)
 	s.ReleaseComplex(fa)
 	normalizeXCorr(dst, a, mst.energy)
-}
-
-// XCorrWithSpectrum correlates a against a prepared master, returning the
-// normalized correlation — the allocating convenience over
-// XCorrMaster.XCorrNormalizedInto.
-func XCorrWithSpectrum(a []float64, mst *XCorrMaster) []float64 {
-	if mst == nil || len(a) == 0 {
-		return nil
-	}
-	out := make([]float64, XCorrLen(len(a), len(mst.series)))
-	s := GetScratch()
-	mst.XCorrNormalizedInto(out, a, s)
-	PutScratch(s)
-	return out
 }
 
 // CrossSpectrum returns FFT(a) ⊙ conj(FFT(b)) zero-padded to a power of two

@@ -127,21 +127,11 @@ func (p StackingParams) PrepareStackedMasterFromView(v *dass.View) (*StackedMast
 // each window with the matching master window, stack by averaging. The
 // (lag × window) intermediate lives only inside one evaluation — the 3D
 // array never materializes globally, which is the memory point of doing
-// stacking inside the UDF.
+// stacking inside the UDF. A thin allocating shim over
+// StackedUDFIntoContext, without cancellation.
 func (p StackingParams) StackedUDF(master *StackedMaster) func(s *arrayudf.Stencil) []float64 {
-	return p.StackedUDFContext(context.Background(), master)
-}
-
-// StackedUDFContext is StackedUDF bound to a context: cancellation is
-// checked at window boundaries, the stacking engine's natural tile — one
-// window is one filter+FFT correlation, heavy enough that per-window checks
-// cost nothing and a cancelled run stops within one window's work. The
-// panic unwinds through the thread team and mpi.Run as the context's error.
-//
-// A thin allocating shim over StackedUDFIntoContext.
-func (p StackingParams) StackedUDFContext(ctx context.Context, master *StackedMaster) func(s *arrayudf.Stencil) []float64 {
 	rowLen := p.StackedRowLen()
-	into := p.StackedUDFIntoContext(ctx, master)
+	into := p.StackedUDFIntoContext(context.Background(), master)
 	return func(s *arrayudf.Stencil) []float64 {
 		stack := make([]float64, rowLen)
 		into(s, stack, nil)
@@ -154,7 +144,11 @@ func (p StackingParams) StackedUDFContext(ctx context.Context, master *StackedMa
 // StackedRowLen) and every per-window intermediate — preprocessed series,
 // raw correlation, trimmed row — is borrowed from the scratch arena, so
 // stacking W windows costs zero allocations after warm-up instead of 3·W
-// slices per channel.
+// slices per channel. ctx is checked at window boundaries, the stacking
+// engine's natural tile — one window is one filter+FFT correlation, heavy
+// enough that per-window checks cost nothing and a cancelled run stops
+// within one window's work. The panic unwinds through the thread team and
+// mpi.Run as the context's error.
 func (p StackingParams) StackedUDFIntoContext(ctx context.Context, master *StackedMaster) func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
 	hop := p.WindowSamples - p.OverlapSamples
 	resLen := p.resampledLen(p.WindowSamples)

@@ -5,6 +5,7 @@ import (
 
 	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
+	"dassa/internal/daslib"
 	"dassa/internal/omp"
 )
 
@@ -16,52 +17,52 @@ func benchBlock(channels, samples int) arrayudf.Block {
 	return arrayudf.Block{Data: a, ChLo: 0, ChHi: channels}
 }
 
-func BenchmarkApplyMTMovingAverage(b *testing.B) {
+func BenchmarkApplyMTScratchMovingAverage(b *testing.B) {
 	blk := benchBlock(32, 2000)
 	team := omp.NewTeam(4)
-	udf := func(s *arrayudf.Stencil) float64 {
+	udf := func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 {
 		return (s.At(-1, 0) + s.Value() + s.At(1, 0)) / 3
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ApplyMT(team, blk, arrayudf.Spec{}, 2000, udf)
+		ApplyMTScratch(team, blk, arrayudf.Spec{}, 2000, udf)
 	}
 }
 
-func BenchmarkApplyMTLocalSimiWindow(b *testing.B) {
+func BenchmarkApplyMTScratchWindow(b *testing.B) {
 	blk := benchBlock(16, 1000)
 	team := omp.NewTeam(4)
-	udf := func(s *arrayudf.Stencil) float64 {
-		w := s.Window(-8, 8, 0)
+	udf := func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+		w := scr.Float(17)
+		s.WindowInto(w, -8, 8, 0)
 		var sum float64
 		for _, v := range w {
 			sum += v
 		}
+		scr.ReleaseFloat(w)
 		return sum
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ApplyMT(team, blk, arrayudf.Spec{TimeStride: 10}, 1000, udf)
+		ApplyMTScratch(team, blk, arrayudf.Spec{TimeStride: 10}, 1000, udf)
 	}
 }
 
-func BenchmarkApplyRowsMT(b *testing.B) {
+func BenchmarkApplyRowsInto(b *testing.B) {
 	blk := benchBlock(64, 1000)
 	team := omp.NewTeam(4)
-	udf := func(s *arrayudf.Stencil) []float64 {
+	udf := func(s *arrayudf.Stencil, dst []float64, _ *daslib.Scratch) {
 		row := s.Row(0)
-		out := make([]float64, 16)
-		for i := range out {
-			out[i] = row[i*32]
+		for i := range dst {
+			dst[i] = row[i*32]
 		}
-		return out
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ApplyRowsMT(team, blk, 16, udf)
+		ApplyRowsInto(team, blk, 16, udf)
 	}
 }
 

@@ -6,9 +6,12 @@
 // must replicate per core), and each node issues one set of I/O requests
 // instead of one per core.
 //
-// ApplyMT is the paper's Algorithm 1: a thread team evaluates the UDF over
-// the node's block, each thread appending to a private result vector; the
-// vectors are merged by a prefix-sum of sizes and a parallel copy.
+// The engine runs every workload through one apply per shape:
+// ApplyMTScratch for point UDFs and ApplyRowsInto for row UDFs. Both are
+// the paper's Algorithm 1 (a thread team over the node's block) with the
+// output preallocated: engine outputs have a fixed shape, so each thread's
+// offset is known without Algorithm 1's prefix-sum merge, which lives on
+// in omp.ForAppend.
 package haee
 
 import (
@@ -95,7 +98,9 @@ type RowsWorkload struct {
 	// per core in PureMPI mode) and returns the shared payload plus its
 	// approximate size in bytes and the I/O it performed.
 	Prepare func(c *mpi.Comm, v *dass.View) (shared any, bytes int64, tr pfs.Trace)
-	// UDF maps one channel to its output row; it must be thread-safe.
+	// UDF maps one channel to its output row; it must be thread-safe. A
+	// workload that sets only UDF runs through the same apply as UDFInto,
+	// its row length-checked and copied into the engine-owned row.
 	UDF func(s *arrayudf.Stencil, shared any) []float64
 	// UDFInto, when non-nil, is preferred over UDF: it writes the channel's
 	// row into the engine-owned dst (length RowLen) and may borrow work
@@ -107,7 +112,8 @@ type RowsWorkload struct {
 // PointsWorkload is a per-cell analysis (Algorithm 2 shape).
 type PointsWorkload struct {
 	Spec arrayudf.Spec
-	// UDF maps one cell to one value; it must be thread-safe.
+	// UDF maps one cell to one value; it must be thread-safe. A workload
+	// that sets only UDF runs through the same apply as UDFScratch.
 	UDF arrayudf.PointUDF
 	// UDFScratch, when non-nil, is preferred over UDF: the same mapping
 	// with a per-thread scratch arena for its window buffers.
@@ -162,45 +168,6 @@ type Engine struct {
 // New creates an engine; the config is validated at run time.
 func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 
-// ApplyMT is Algorithm 1: evaluate udf over every (owned channel × strided
-// time) cell of blk with a thread team, using per-thread private vectors
-// merged by prefix sums (omp.ForAppend). The static schedule makes the
-// merged order equal the sequential order.
-func ApplyMT(team *omp.Team, blk arrayudf.Block, spec arrayudf.Spec, nt int, udf arrayudf.PointUDF) *dasf.Array2D {
-	own := blk.OwnedChannels()
-	outT := spec.OutSamples(nt)
-	if own <= 0 {
-		return dasf.NewArray2D(0, outT)
-	}
-	stride := spec.TimeStride
-	if stride <= 0 {
-		stride = 1
-	}
-	cells := own * outT
-	flat := omp.ForAppend(team, cells, func(i int, out *[]float64) {
-		s := blk.Stencil(i/outT, (i%outT)*stride)
-		*out = append(*out, udf(s))
-	})
-	return &dasf.Array2D{Channels: own, Samples: outT, Data: flat}
-}
-
-// ApplyRowsMT is ApplyMT for RowUDF workloads: one evaluation per owned
-// channel, each appending its whole row.
-func ApplyRowsMT(team *omp.Team, blk arrayudf.Block, rowLen int, udf func(s *arrayudf.Stencil) []float64) *dasf.Array2D {
-	own := blk.OwnedChannels()
-	if own <= 0 {
-		return dasf.NewArray2D(0, rowLen)
-	}
-	flat := omp.ForAppend(team, own, func(ch int, out *[]float64) {
-		row := udf(blk.Stencil(ch, 0))
-		if len(row) != rowLen {
-			panic(fmt.Sprintf("haee: RowUDF returned %d values, declared %d", len(row), rowLen))
-		}
-		*out = append(*out, row...)
-	})
-	return &dasf.Array2D{Channels: own, Samples: rowLen, Data: flat}
-}
-
 // teamScratch checks one scratch arena and one reusable stencil out per
 // worker thread; release returns the arenas to the process pool.
 func teamScratch(team *omp.Team, blk arrayudf.Block) (scratches []*daslib.Scratch, stencils []*arrayudf.Stencil, release func()) {
@@ -218,11 +185,11 @@ func teamScratch(team *omp.Team, blk arrayudf.Block) (scratches []*daslib.Scratc
 	}
 }
 
-// ApplyMTScratch is ApplyMT for scratch-aware point UDFs: the output array
-// is preallocated and each thread writes its cells directly (the static
-// schedule gives disjoint index ranges, so no merge is needed), reusing one
-// stencil and one scratch arena per thread. After the first channel of a
-// run the inner loop performs no allocation.
+// ApplyMTScratch is the engine's points apply: udf is evaluated over every
+// (owned channel × strided time) cell of blk by a thread team, each thread
+// writing its disjoint static range of the preallocated output directly.
+// Each thread reuses one stencil and one scratch arena; after the first
+// channel of a run the inner loop performs no allocation.
 func ApplyMTScratch(team *omp.Team, blk arrayudf.Block, spec arrayudf.Spec, nt int, udf func(s *arrayudf.Stencil, scr *daslib.Scratch) float64) *dasf.Array2D {
 	own := blk.OwnedChannels()
 	outT := spec.OutSamples(nt)
@@ -244,11 +211,11 @@ func ApplyMTScratch(team *omp.Team, blk arrayudf.Block, spec arrayudf.Spec, nt i
 	return out
 }
 
-// ApplyRowsInto is ApplyRowsMT for destination-passing row UDFs: the
-// output array is preallocated, each channel's UDF writes straight into
-// its row, and every thread carries a scratch arena for kernel
-// intermediates. Rows are engine-owned, so nothing scratch-owned escapes a
-// UDF call.
+// ApplyRowsInto is the engine's rows apply, for destination-passing row
+// UDFs: one evaluation per owned channel. The output array is
+// preallocated, each channel's UDF writes straight into its row, and every
+// thread carries a scratch arena for kernel intermediates. Rows are
+// engine-owned, so nothing scratch-owned escapes a UDF call.
 func ApplyRowsInto(team *omp.Team, blk arrayudf.Block, rowLen int, udf func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch)) *dasf.Array2D {
 	own := blk.OwnedChannels()
 	if own <= 0 {
@@ -275,6 +242,16 @@ func (e *Engine) RunRows(v *dass.View, w RowsWorkload, outPath string) (Report, 
 	if (w.UDF == nil && w.UDFInto == nil) || w.RowLen <= 0 {
 		return Report{}, fmt.Errorf("haee: RowsWorkload needs a UDF and positive RowLen")
 	}
+	udf := w.UDFInto
+	if udf == nil {
+		udf = func(s *arrayudf.Stencil, shared any, dst []float64, _ *daslib.Scratch) {
+			row := w.UDF(s, shared)
+			if len(row) != len(dst) {
+				panic(fmt.Sprintf("haee: RowUDF returned %d values, declared %d", len(row), len(dst)))
+			}
+			copy(dst, row)
+		}
+	}
 	return e.run(v, w.Spec, outPath, func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace) {
 		var shared any
 		var sharedBytes int64
@@ -285,22 +262,12 @@ func (e *Engine) RunRows(v *dass.View, w RowsWorkload, outPath string) (Report, 
 		// One UDF call is one channel — the row engine's tile. The
 		// cancellation panic unwinds through the omp team to the rank, and
 		// through mpi.Run to the caller as the context's error.
-		var out *dasf.Array2D
-		if w.UDFInto != nil {
-			out = ApplyRowsInto(team, blk, w.RowLen, func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
-				if err := v.Context().Err(); err != nil {
-					panic(fmt.Errorf("haee: rows compute: %w", err))
-				}
-				w.UDFInto(s, shared, dst, scr)
-			})
-		} else {
-			out = ApplyRowsMT(team, blk, w.RowLen, func(s *arrayudf.Stencil) []float64 {
-				if err := v.Context().Err(); err != nil {
-					panic(fmt.Errorf("haee: rows compute: %w", err))
-				}
-				return w.UDF(s, shared)
-			})
-		}
+		out := ApplyRowsInto(team, blk, w.RowLen, func(s *arrayudf.Stencil, dst []float64, scr *daslib.Scratch) {
+			if err := v.Context().Err(); err != nil {
+				panic(fmt.Errorf("haee: rows compute: %w", err))
+			}
+			udf(s, shared, dst, scr)
+		})
 		return out, sharedBytes, prepTr
 	})
 }
@@ -313,31 +280,24 @@ func (e *Engine) RunPoints(v *dass.View, w PointsWorkload, outPath string) (Repo
 	if w.UDF == nil && w.UDFScratch == nil {
 		return Report{}, fmt.Errorf("haee: PointsWorkload needs a UDF")
 	}
+	udf := w.UDFScratch
+	if udf == nil {
+		udf = func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 { return w.UDF(s) }
+	}
 	_, nt := v.Shape()
 	return e.run(v, w.Spec, outPath, func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace) {
 		// Check cancellation once per channel row (the first strided cell),
 		// not per cell — cancellation latency stays one row, the hot loop
 		// stays hot.
-		if w.UDFScratch != nil {
-			udf := func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
-				if s.T() == 0 {
-					if err := v.Context().Err(); err != nil {
-						panic(fmt.Errorf("haee: points compute: %w", err))
-					}
-				}
-				return w.UDFScratch(s, scr)
-			}
-			return ApplyMTScratch(team, blk, w.Spec, nt, udf), 0, pfs.Trace{}
-		}
-		udf := func(s *arrayudf.Stencil) float64 {
+		out := ApplyMTScratch(team, blk, w.Spec, nt, func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
 			if s.T() == 0 {
 				if err := v.Context().Err(); err != nil {
 					panic(fmt.Errorf("haee: points compute: %w", err))
 				}
 			}
-			return w.UDF(s)
-		}
-		return ApplyMT(team, blk, w.Spec, nt, udf), 0, pfs.Trace{}
+			return udf(s, scr)
+		})
+		return out, 0, pfs.Trace{}
 	})
 }
 

@@ -1,15 +1,19 @@
 package haee
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dassa/internal/arrayudf"
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
+	"dassa/internal/daslib"
 	"dassa/internal/dass"
 	"dassa/internal/detect"
+	"dassa/internal/mpi"
 	"dassa/internal/omp"
 )
 
@@ -62,47 +66,106 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestApplyMTMatchesSequentialApply pins the engine against the serial
+// ArrayUDF reference: under every layout and read strategy, a workload
+// written with the plain UDF and the same workload written with the
+// scratch/destination-passing UDF both reproduce arrayudf.Apply/ApplyRows
+// on one rank, bit for bit.
 func TestApplyMTMatchesSequentialApply(t *testing.T) {
-	v, full, _ := makeView(t, 10, 2)
-	udf := func(s *arrayudf.Stencil) float64 {
-		return s.At(0, -1) + 2*s.Value() + s.At(0, 1)
+	v, _, _ := makeView(t, 10, 2)
+	pointSpec := arrayudf.Spec{GhostChannels: 1, TimeStride: 3}
+	point := func(s *arrayudf.Stencil, w []float64) float64 {
+		s.WindowInto(w, -2, 2, 1)
+		acc := 2 * s.Value()
+		for _, x := range w {
+			acc += x
+		}
+		return acc - s.At(1, -1)
 	}
-	spec := arrayudf.Spec{GhostChannels: 1, TimeStride: 3}
+	pointUDF := func(s *arrayudf.Stencil) float64 { return point(s, make([]float64, 5)) }
+	pointScratch := func(s *arrayudf.Stencil, scr *daslib.Scratch) float64 {
+		w := scr.Float(5)
+		defer scr.ReleaseFloat(w)
+		return point(s, w)
+	}
+	const rowLen = 16
+	rowSpec := arrayudf.Spec{GhostChannels: 1}
+	row := func(s *arrayudf.Stencil, dst []float64) {
+		here, next := s.Row(0), s.Row(1)
+		for i := range dst {
+			dst[i] = here[i*5] - 0.5*next[i*5+1]
+		}
+	}
+	rowUDF := func(s *arrayudf.Stencil) []float64 {
+		dst := make([]float64, rowLen)
+		row(s, dst)
+		return dst
+	}
 
-	// Sequential reference via arrayudf.Apply on one rank.
-	var want *dasf.Array2D
-	eng := New(Config{Nodes: 1, CoresPerNode: 1, Mode: PureMPI})
-	rep, err := eng.RunPoints(v, PointsWorkload{Spec: spec, UDF: udf}, "")
-	if err != nil {
+	nch, _ := v.Shape()
+	var wantPoints, wantRows *dasf.Array2D
+	if _, err := mpi.Run(1, func(c *mpi.Comm) {
+		wantPoints = arrayudf.Gather(c, nch, arrayudf.Apply(c, v, pointSpec, pointUDF))
+		wantRows = arrayudf.Gather(c, nch, arrayudf.ApplyRows(c, v, rowSpec, rowLen, rowUDF))
+	}); err != nil {
 		t.Fatal(err)
 	}
-	want = rep.Output
 
-	// Hybrid with several threads and several nodes.
-	for _, cfg := range []Config{
+	for _, layout := range []Config{
 		{Nodes: 1, CoresPerNode: 4, Mode: Hybrid},
 		{Nodes: 3, CoresPerNode: 2, Mode: Hybrid},
 		{Nodes: 2, CoresPerNode: 3, Mode: PureMPI},
 	} {
-		rep, err := New(cfg).RunPoints(v, PointsWorkload{Spec: spec, UDF: udf}, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := rep.Output
-		if got.Channels != want.Channels || got.Samples != want.Samples {
-			t.Fatalf("%v: shape %d×%d, want %d×%d", cfg, got.Channels, got.Samples, want.Channels, want.Samples)
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("cfg=%+v: output differs at %d", cfg, i)
+		for _, read := range []struct {
+			name     string
+			strategy arrayudf.ReadStrategy
+		}{{"independent", nil}, {"commavoid", arrayudf.CommAvoidingRead}} {
+			cfg := layout
+			cfg.ReadStrategy = read.strategy
+			eng := New(cfg)
+			name := fmt.Sprintf("%s_%dx%d_%s", cfg.Mode, cfg.Nodes, cfg.CoresPerNode, read.name)
+			for _, c := range []struct {
+				form string
+				run  func() (Report, error)
+				want *dasf.Array2D
+			}{
+				{"points/UDF", func() (Report, error) {
+					return eng.RunPoints(v, PointsWorkload{Spec: pointSpec, UDF: pointUDF}, "")
+				}, wantPoints},
+				{"points/UDFScratch", func() (Report, error) {
+					return eng.RunPoints(v, PointsWorkload{Spec: pointSpec, UDFScratch: pointScratch}, "")
+				}, wantPoints},
+				{"rows/UDF", func() (Report, error) {
+					return eng.RunRows(v, RowsWorkload{Spec: rowSpec, RowLen: rowLen,
+						UDF: func(s *arrayudf.Stencil, _ any) []float64 { return rowUDF(s) }}, "")
+				}, wantRows},
+				{"rows/UDFInto", func() (Report, error) {
+					return eng.RunRows(v, RowsWorkload{Spec: rowSpec, RowLen: rowLen,
+						UDFInto: func(s *arrayudf.Stencil, _ any, dst []float64, _ *daslib.Scratch) { row(s, dst) }}, "")
+				}, wantRows},
+			} {
+				rep, err := c.run()
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, c.form, err)
+				}
+				got := rep.Output
+				if got.Channels != c.want.Channels || got.Samples != c.want.Samples {
+					t.Fatalf("%s %s: shape %d×%d, want %d×%d", name, c.form,
+						got.Channels, got.Samples, c.want.Channels, c.want.Samples)
+				}
+				for i := range c.want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(c.want.Data[i]) {
+						t.Fatalf("%s %s: output differs at %d: %v vs %v", name, c.form, i, got.Data[i], c.want.Data[i])
+					}
+				}
 			}
 		}
 	}
-	_ = full
 }
 
 func TestApplyMTDirect(t *testing.T) {
-	// ApplyMT on a handmade block, checked against direct evaluation.
+	// ApplyMTScratch and ApplyRowsInto on a handmade block, checked
+	// against direct evaluation.
 	a := dasf.NewArray2D(4, 20)
 	for c := 0; c < 4; c++ {
 		for tt := 0; tt < 20; tt++ {
@@ -111,23 +174,54 @@ func TestApplyMTDirect(t *testing.T) {
 	}
 	blk := arrayudf.Block{Data: a, ChLo: 0, ChHi: 4, Ghost: 0}
 	team := omp.NewTeam(3)
-	out := ApplyMT(team, blk, arrayudf.Spec{TimeStride: 2}, 20, func(s *arrayudf.Stencil) float64 {
+	spec := arrayudf.Spec{TimeStride: 2}
+	out := ApplyMTScratch(team, blk, spec, 20, func(s *arrayudf.Stencil, _ *daslib.Scratch) float64 {
 		return 2 * s.Value()
 	})
 	if out.Channels != 4 || out.Samples != 10 {
-		t.Fatalf("shape %d×%d", out.Channels, out.Samples)
+		t.Fatalf("points shape %d×%d", out.Channels, out.Samples)
 	}
 	for c := 0; c < 4; c++ {
 		for i := 0; i < 10; i++ {
 			if out.At(c, i) != 2*a.At(c, i*2) {
-				t.Fatalf("ApplyMT(%d,%d) wrong", c, i)
+				t.Fatalf("ApplyMTScratch(%d,%d) wrong", c, i)
 			}
 		}
 	}
-	// Empty block.
-	empty := ApplyMT(team, arrayudf.Block{ChLo: 2, ChHi: 2}, arrayudf.Spec{}, 20, nil)
-	if empty.Channels != 0 {
-		t.Error("empty block should give empty output")
+	rows := ApplyRowsInto(team, blk, 5, func(s *arrayudf.Stencil, dst []float64, _ *daslib.Scratch) {
+		for i := range dst {
+			dst[i] = -s.Row(0)[i*4]
+		}
+	})
+	if rows.Channels != 4 || rows.Samples != 5 {
+		t.Fatalf("rows shape %d×%d", rows.Channels, rows.Samples)
+	}
+	for c := 0; c < 4; c++ {
+		for i := 0; i < 5; i++ {
+			if rows.At(c, i) != -a.At(c, i*4) {
+				t.Fatalf("ApplyRowsInto(%d,%d) wrong", c, i)
+			}
+		}
+	}
+
+	// A rank that owns no channels yields an empty output of the right width.
+	empty := arrayudf.Block{ChLo: 2, ChHi: 2}
+	if out := ApplyMTScratch(team, empty, spec, 20, nil); out.Channels != 0 || out.Samples != spec.OutSamples(20) {
+		t.Errorf("empty points block: %d×%d", out.Channels, out.Samples)
+	}
+	if out := ApplyRowsInto(team, empty, 5, nil); out.Channels != 0 || out.Samples != 5 {
+		t.Errorf("empty rows block: %d×%d", out.Channels, out.Samples)
+	}
+}
+
+// TestApplyRowsMTWrongLenPanics: a plain row UDF that breaks its declared
+// length panics its rank, and RunRows reports that panic as the run's error.
+func TestApplyRowsMTWrongLenPanics(t *testing.T) {
+	v, _, _ := makeView(t, 6, 1)
+	_, err := New(Config{Nodes: 2, CoresPerNode: 2, Mode: Hybrid}).RunRows(v, RowsWorkload{RowLen: 4,
+		UDF: func(*arrayudf.Stencil, any) []float64 { return []float64{1} }}, "")
+	if err == nil || !strings.Contains(err.Error(), "returned 1 values, declared 4") {
+		t.Errorf("wrong row length: err = %v", err)
 	}
 }
 
@@ -239,15 +333,4 @@ func TestRunRowsWritesOutput(t *testing.T) {
 	if d := math.Abs(rep.Output.At(0, zero) - 1); d > 1e-6 {
 		t.Errorf("master self-correlation at zero lag = %g, want 1", rep.Output.At(0, zero))
 	}
-}
-
-func TestApplyRowsMTWrongLenPanics(t *testing.T) {
-	a := dasf.NewArray2D(2, 10)
-	blk := arrayudf.Block{Data: a, ChLo: 0, ChHi: 2}
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong row length should panic")
-		}
-	}()
-	ApplyRowsMT(omp.NewTeam(1), blk, 4, func(*arrayudf.Stencil) []float64 { return []float64{1} })
 }

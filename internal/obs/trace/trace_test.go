@@ -166,7 +166,22 @@ func TestStoreEvictionUnderChurn(t *testing.T) {
 	if len(st.Slowest()) != 4 {
 		t.Fatalf("slowest holds %d, want 4", len(st.Slowest()))
 	}
-	// Recent is newest-first.
+	// Recent is newest-first. The ring orders traces by completion, and
+	// concurrent traces can complete in another order than they started,
+	// so refill the ring from one goroutine before checking start times.
+	for i := 0; i < 8; i++ {
+		_, root := New(context.Background(), st, "p", "", fmt.Sprintf("seq-%d", i))
+		root.End()
+	}
+	recent = st.Recent()
+	if len(recent) != 8 {
+		t.Fatalf("ring holds %d traces, want 8", len(recent))
+	}
+	for i, td := range recent {
+		if want := fmt.Sprintf("seq-%d", 7-i); td.Root != want {
+			t.Fatalf("recent[%d] = %q, want %q", i, td.Root, want)
+		}
+	}
 	for i := 1; i < len(recent); i++ {
 		if recent[i-1].StartUnixNano < recent[i].StartUnixNano {
 			t.Fatal("Recent not newest-first")
