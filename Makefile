@@ -32,12 +32,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Project-invariant analyzers (cmd/dassalint) + their self-tests. The
+# gofmt over every tracked Go file, then the project-invariant analyzers
+# (cmd/dassalint) + their self-tests. The
 # suite lints _test.go files too via per-package test variants; add
 # -tests=false for the narrow pre-variant behavior, -json for machine-
 # readable findings.
 lint:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) run ./cmd/dassalint ./...
 	$(GO) test ./internal/lint/... -count=1
 

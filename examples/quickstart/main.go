@@ -67,8 +67,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("smoothed array: %d×%d (read %s, compute %s)\n",
-		smoothed.Channels, smoothed.Samples, rep.Phases.Read, rep.Phases.Compute)
+	fmt.Printf("smoothed array: %d×%d\nphases: %s\n",
+		smoothed.Channels, smoothed.Samples, rep.Phases)
 	fmt.Printf("I/O trace: %d opens, %d read calls, %.2f MB\n",
 		rep.ReadTrace.Opens, rep.ReadTrace.Reads, float64(rep.ReadTrace.BytesRead)/1e6)
 

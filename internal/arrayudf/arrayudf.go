@@ -15,7 +15,6 @@ import (
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
 	"dassa/internal/mpi"
-	"dassa/internal/obs"
 	"dassa/internal/pfs"
 )
 
@@ -148,33 +147,33 @@ func (sp Spec) OutSamples(nt int) int {
 }
 
 // ReadStrategy loads one rank's channel block [chLo, chHi) (ghost-extended
-// bounds, view-relative) over the view's full time extent. The policy says
-// what to do with members that stay bad after retries; the QualityReport
-// (non-nil on rank 0 under dass.FailDegrade) accounts for what was lost.
-type ReadStrategy func(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.FailPolicy) (*dasf.Array2D, pfs.Trace, *dass.QualityReport)
+// bounds, view-relative) over the view's full time extent. The returned
+// block's Exchange is the time the rank spent communicating during the
+// load. The policy says what to do with members that stay bad after
+// retries; the QualityReport (non-nil on rank 0 under dass.FailDegrade)
+// accounts for what was lost.
+type ReadStrategy func(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.FailPolicy) (dass.Block, pfs.Trace, *dass.QualityReport)
 
 // IndependentRead is the default strategy: every rank issues its own
 // hyperslab reads against the view (O(p×files) requests on a VCA). An
 // empty channel range returns an empty array without touching storage.
-func IndependentRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.FailPolicy) (*dasf.Array2D, pfs.Trace, *dass.QualityReport) {
-	var data *dasf.Array2D
+func IndependentRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.FailPolicy) (dass.Block, pfs.Trace, *dass.QualityReport) {
+	blk := dass.Block{ChLo: chLo, ChHi: chHi}
 	var local pfs.Trace
 	var gaps []dass.Gap
 	if chLo >= chHi {
 		_, nt := v.Shape()
-		data = dasf.NewArray2D(0, nt)
+		blk.Data = dasf.NewArray2D(0, nt)
 	} else {
 		sub, err := v.SubsetChannels(chLo, chHi)
 		if err != nil {
 			panic(fmt.Errorf("arrayudf: ghost-extended subset: %w", err))
 		}
-		t0 := time.Now()
 		d, tr, subGaps, err := sub.ReadPolicy(policy)
-		v.ObserveSpan(c.Rank(), obs.PhaseRead, time.Since(t0))
 		if err != nil {
 			panic(fmt.Errorf("arrayudf: block read: %w", err))
 		}
-		data = d
+		blk.Data = d
 		local = tr
 		// Lift sub-view gap channels into view coordinates for the report.
 		for _, g := range subGaps {
@@ -184,10 +183,10 @@ func IndependentRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.Fail
 		}
 	}
 	if policy != dass.FailDegrade {
-		return data, local, nil
+		return blk, local, nil
 	}
 	// Collective: every rank participates, empty partitions included.
-	return data, local, dass.GatherQuality(c, v, gaps, local)
+	return blk, local, dass.GatherQuality(c, v, gaps, local)
 }
 
 // Block is one rank's loaded portion of the array, ghost channels included.
@@ -196,6 +195,9 @@ type Block struct {
 	ChLo  int // view-relative first owned (non-ghost) channel
 	ChHi  int // view-relative past-the-end owned channel
 	Ghost int // ghost width actually applied below ChLo
+	// Exchange is the part of the load spent communicating (see
+	// dass.Block.Exchange).
+	Exchange time.Duration
 }
 
 // LoadBlock reads the calling rank's ghost-extended channel block. The
@@ -217,9 +219,8 @@ func LoadBlock(c *mpi.Comm, v *dass.View, spec Spec) (Block, pfs.Trace, *dass.Qu
 	if read == nil {
 		read = IndependentRead
 	}
-	var tr pfs.Trace
-	var q *dass.QualityReport
-	blk.Data, tr, q = read(c, v, gLo, gHi, spec.FailPolicy)
+	got, tr, q := read(c, v, gLo, gHi, spec.FailPolicy)
+	blk.Data, blk.Exchange = got.Data, got.Exchange
 	if lo >= hi {
 		blk.Data = nil
 	}

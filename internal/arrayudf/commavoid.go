@@ -7,7 +7,6 @@ import (
 	"dassa/internal/dasf"
 	"dassa/internal/dass"
 	"dassa/internal/mpi"
-	"dassa/internal/obs"
 	"dassa/internal/pfs"
 )
 
@@ -23,7 +22,7 @@ import (
 // on a huge world), a halo would have to traverse multiple ranks; the
 // strategy then falls back to independent reads. The branch is decided
 // from globally agreed quantities, so all ranks take it together.
-func CommAvoidingRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.FailPolicy) (*dasf.Array2D, pfs.Trace, *dass.QualityReport) {
+func CommAvoidingRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.FailPolicy) (dass.Block, pfs.Trace, *dass.QualityReport) {
 	nch, nt := v.Shape()
 	p := c.Size()
 	rank := c.Rank()
@@ -48,8 +47,9 @@ func CommAvoidingRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.Fai
 	for ch := ownLo; ch < ownHi; ch++ {
 		copy(out.Row(ch-chLo), own.Row(ch-ownLo))
 	}
+	blk.Data, blk.ChLo, blk.ChHi = out, chLo, chHi
 	if nominal == 0 || p == 1 {
-		return out, tr, q
+		return blk, tr, q
 	}
 
 	const (
@@ -57,9 +57,8 @@ func CommAvoidingRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.Fai
 		tagUp   = 102 // payload travels to the previous rank (their high ghost)
 	)
 	// The halo messages are the exchange cost this strategy adds on top of
-	// the reader's all-to-all; the recorder folds both into PhaseExchange.
+	// the reader's all-to-all; both land in the block's Exchange.
 	tHalo := time.Now()
-	defer func() { v.ObserveSpan(rank, obs.PhaseExchange, time.Since(tHalo)) }()
 	width := ownHi - ownLo
 	send := min(nominal, width)
 	// Everyone with a neighbor sends `send` boundary rows; receivers keep
@@ -96,7 +95,8 @@ func CommAvoidingRead(c *mpi.Comm, v *dass.View, chLo, chHi int, policy dass.Fai
 			copy(out.Row(dstCh-chLo), rows[i*nt:(i+1)*nt])
 		}
 	}
+	blk.Exchange += time.Since(tHalo)
 	// NaN-masked gaps ride the halo exchange like any other rows, so ghost
 	// channels of a degraded neighbor are masked too.
-	return out, tr, q
+	return blk, tr, q
 }

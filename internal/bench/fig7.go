@@ -69,11 +69,14 @@ func RunFig7(o Options) ([]Fig7Row, error) {
 	var rows []Fig7Row
 	for _, m := range methods {
 		var tr pfs.Trace
-		spans := obs.NewSpans(o.Ranks)
-		view := m.view.WithSpans(spans)
+		phases := make([]obs.RankPhases, o.Ranks)
 		wall, err := timeIt(func() error {
 			_, werr := mpi.Run(o.Ranks, func(c *mpi.Comm) {
-				_, t := m.read(c, view)
+				t0 := time.Now()
+				blk, t := m.read(c, m.view)
+				ph := &phases[c.Rank()]
+				ph[obs.PhaseExchange] = blk.Exchange
+				ph[obs.PhaseRead] = time.Since(t0) - blk.Exchange
 				if c.Rank() == 0 {
 					tr = t
 				}
@@ -89,7 +92,7 @@ func RunFig7(o Options) ([]Fig7Row, error) {
 			Trace:      tr,
 			Projected:  o.Model.Project(tr).Total(),
 			PaperScale: o.Model.Project(paperScaleTrace(m.name)).Total(),
-			Phases:     phasesOf(spans.Report()),
+			Phases:     phasesOf(obs.ReportPhases(phases)),
 		}
 		if m.name == "RCA independent" {
 			// Figure 7's RCA bars include the (serial) merge that produced

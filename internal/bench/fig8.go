@@ -8,6 +8,7 @@ import (
 	"dassa/internal/arrayudf"
 	"dassa/internal/dass"
 	"dassa/internal/haee"
+	"dassa/internal/obs"
 )
 
 // Fig8Row is one (node count, mode) configuration of Figure 8.
@@ -121,7 +122,7 @@ func RunFig8(o Options) ([]Fig8Row, error) {
 				Reads:        rep.ReadTrace.Reads,
 				ReadModel:    o.Model.Project(rep.ReadTrace).Total(),
 				ComputeModel: modeledWall(unit, nch, workers),
-				WriteWall:    rep.WriteTime,
+				WriteWall:    time.Duration(rep.Phases.Stat(obs.PhaseWrite).MaxMS * float64(time.Millisecond)),
 				Phases:       phasesOf(rep.Phases),
 			}
 			rows = append(rows, row)

@@ -203,11 +203,9 @@ func (d *Dataset) Rescan() error {
 type Report struct {
 	ReadTrace  pfs.Trace
 	MemPerNode int64
-	Phases     struct{ Read, Exchange, Compute, Write string }
-	// Breakdown is the per-rank phase decomposition (read/exchange/compute/
-	// write, max and mean across ranks) — the machine-readable counterpart
-	// of Phases, mirroring the paper's Figs. 8–10.
-	Breakdown obs.PhaseReport
+	// Phases is the per-rank phase decomposition (read/exchange/compute/
+	// write, max and mean across ranks), mirroring the paper's Figs. 8–10.
+	Phases obs.PhaseReport
 	// Quality accounts for degraded reads (non-nil only under
 	// dass.FailDegrade); Quality.Degraded() reports whether data was lost.
 	Quality *dass.QualityReport
@@ -217,13 +215,8 @@ type Report struct {
 func (r Report) Degraded() bool { return r.Quality.Degraded() }
 
 func reportOf(rep haee.Report) Report {
-	out := Report{ReadTrace: rep.ReadTrace, MemPerNode: rep.MemPerNode,
-		Breakdown: rep.Phases, Quality: rep.Quality}
-	out.Phases.Read = rep.ReadTime.String()
-	out.Phases.Exchange = rep.ExchangeTime.String()
-	out.Phases.Compute = rep.ComputeTime.String()
-	out.Phases.Write = rep.WriteTime.String()
-	return out
+	return Report{ReadTrace: rep.ReadTrace, MemPerNode: rep.MemPerNode,
+		Phases: rep.Phases, Quality: rep.Quality}
 }
 
 // result is the tail every Framework run shares: an engine error passes

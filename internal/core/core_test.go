@@ -11,6 +11,7 @@ import (
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
 	"dassa/internal/detect"
+	"dassa/internal/obs"
 )
 
 func makeDataset(t *testing.T, channels, files int) (*Dataset, dasgen.Config) {
@@ -134,7 +135,7 @@ func TestLocalSimilarityFacade(t *testing.T) {
 	if _, err := os.Stat(out); err != nil {
 		t.Errorf("similarity map not written: %v", err)
 	}
-	if rep.Phases.Compute == "" {
+	if rep.Phases.Stat(obs.PhaseCompute).MaxMS <= 0 {
 		t.Error("report missing phase timings")
 	}
 	// Invalid parameters are rejected.

@@ -6,7 +6,6 @@ import (
 
 	"dassa/internal/dasf"
 	"dassa/internal/mpi"
-	"dassa/internal/obs"
 	"dassa/internal/pfs"
 )
 
@@ -29,6 +28,10 @@ type Block struct {
 	Data *dasf.Array2D
 	// ChLo and ChHi are view-relative channel bounds of this rank's block.
 	ChLo, ChHi int
+	// Exchange is the time this rank spent in the load's collectives
+	// (broadcasts, all-to-alls, halo messages): the exchange part of the
+	// load, which engines subtract from its wall time to get the read part.
+	Exchange time.Duration
 }
 
 // traceVec flattens a trace for an MPI reduction.
@@ -109,9 +112,7 @@ func ReadIndependentPolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block, pfs.
 		if err != nil {
 			panic(fmt.Errorf("dass: independent read: %w", err))
 		}
-		t0 := time.Now()
 		data, tr, subGaps, err := sub.ReadPolicy(policy)
-		v.ObserveSpan(c.Rank(), obs.PhaseRead, time.Since(t0))
 		if err != nil {
 			panic(fmt.Errorf("dass: independent read: %w", err))
 		}
@@ -159,9 +160,7 @@ func ReadCollectivePerFilePolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block
 		var flat []float64
 		width := sp.tHi - sp.tLo
 		if c.Rank() == root {
-			tRead := time.Now()
 			part, err := v.readMemberSpan(sp, &local)
-			v.ObserveSpan(c.Rank(), obs.PhaseRead, time.Since(tRead))
 			if err != nil {
 				if policy == FailAbort || IsCancellation(err) {
 					panic(fmt.Errorf("dass: collective read: %w", err))
@@ -179,7 +178,7 @@ func ReadCollectivePerFilePolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block
 		}
 		tEx := time.Now()
 		flat = mpi.Bcast(c, root, flat)
-		v.ObserveSpan(c.Rank(), obs.PhaseExchange, time.Since(tEx))
+		blk.Exchange += time.Since(tEx)
 		// Keep only this rank's channel rows.
 		for ch := lo; ch < hi; ch++ {
 			src := flat[ch*width : (ch+1)*width]
@@ -226,9 +225,7 @@ func ReadCommAvoidingPolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block, pfs
 		var mine *dasf.Array2D
 		if myIdx < len(spans) {
 			sp := spans[myIdx]
-			tRead := time.Now()
 			part, err := v.readMemberSpan(sp, &local)
-			v.ObserveSpan(rank, obs.PhaseRead, time.Since(tRead))
 			if err != nil {
 				if policy == FailAbort || IsCancellation(err) {
 					panic(fmt.Errorf("dass: comm-avoiding read: %w", err))
@@ -268,7 +265,7 @@ func ReadCommAvoidingPolicy(c *mpi.Comm, v *View, policy FailPolicy) (Block, pfs
 		}
 		tEx := time.Now()
 		recv := mpi.Alltoallv(c, send)
-		v.ObserveSpan(rank, obs.PhaseExchange, time.Since(tEx))
+		blk.Exchange += time.Since(tEx)
 		// Place every source's contribution at its file's time offset.
 		for s := 0; s < p; s++ {
 			srcIdx := r*p + s

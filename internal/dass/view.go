@@ -3,10 +3,8 @@ package dass
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"dassa/internal/dasf"
-	"dassa/internal/obs"
 	"dassa/internal/obs/trace"
 	"dassa/internal/pfs"
 )
@@ -24,10 +22,6 @@ type View struct {
 	// slab, when non-nil, replaces the direct open-and-read of member
 	// hyperslabs — the hook a block cache plugs into (see WithSlabReader).
 	slab SlabReaderFunc
-	// spans, when non-nil, receives per-rank phase timings from the
-	// parallel readers — the hook behind the paper's read/exchange/compute
-	// breakdown (see WithSpans).
-	spans *obs.Spans
 	// ctx, when non-nil, bounds every read issued through the view: member
 	// opens, slab reads, retry backoff, and the parallel readers' rank
 	// loops all honor its cancellation (see WithContext).
@@ -52,16 +46,6 @@ func (v *View) WithSlabReader(fn SlabReaderFunc) *View {
 	return &cp
 }
 
-// WithSpans returns a copy of the view whose parallel reads record per-rank
-// phase timings (read vs exchange) into s. Subsets keep the recorder; a nil
-// s disables recording. Like WithSlabReader, this is a hook: the view layer
-// stays dependency-free and the engine decides where timings accumulate.
-func (v *View) WithSpans(s *obs.Spans) *View {
-	cp := *v
-	cp.spans = s
-	return &cp
-}
-
 // WithContext returns a copy of the view bound to ctx: every read issued
 // through the copy — and through subsets of it — honors the context's
 // cancellation and deadline. A cancelled read always surfaces the context's
@@ -81,13 +65,6 @@ func (v *View) Context() context.Context {
 		return context.Background()
 	}
 	return v.ctx
-}
-
-// ObserveSpan records d under phase p for rank. Safe on views without a
-// recorder — engines above the read path (ghost exchange, compute) call
-// this unconditionally.
-func (v *View) ObserveSpan(rank int, p obs.Phase, d time.Duration) {
-	v.spans.Add(rank, p, d)
 }
 
 // ViewOver builds a VCA-shaped view over the entries entirely in memory —

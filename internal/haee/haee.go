@@ -120,26 +120,18 @@ type PointsWorkload struct {
 	UDFScratch func(s *arrayudf.Stencil, scr *daslib.Scratch) float64
 }
 
-// Report summarizes a run: wall-clock per phase (max across ranks), the
-// global I/O trace, the memory estimate that decides OOM, and on rank 0
-// the assembled output.
+// Report summarizes a run: the per-phase wall clock, the global I/O
+// trace, the memory estimate that decides OOM, and on rank 0 the
+// assembled output.
 type Report struct {
 	Mode         Mode
 	Nodes        int
 	CoresPerNode int
 
-	ReadTime    time.Duration
-	ComputeTime time.Duration
-	WriteTime   time.Duration
-
-	// ExchangeTime is the communication component of the load phase —
-	// broadcasts, all-to-alls, halo messages — max across ranks. It is a
-	// subset of ReadTime (which keeps its historical meaning of full block
-	// load wall time), isolating the paper's exchange cost.
-	ExchangeTime time.Duration
-
 	// Phases is the per-rank phase breakdown (read/exchange/compute/write)
 	// reduced across ranks — the machine-readable form of Figs. 8–10.
+	// Read is the block load's wall time minus its exchange, so each
+	// rank's four phases add up to its run time.
 	Phases obs.PhaseReport
 
 	ReadTrace  pfs.Trace
@@ -156,9 +148,6 @@ type Report struct {
 
 	Output *dasf.Array2D
 }
-
-// Total returns the end-to-end wall time.
-func (r Report) Total() time.Duration { return r.ReadTime + r.ComputeTime + r.WriteTime }
 
 // Engine executes workloads under a machine layout.
 type Engine struct {
@@ -302,7 +291,7 @@ func (e *Engine) RunPoints(v *dass.View, w PointsWorkload, outPath string) (Repo
 }
 
 // run is the shared phase driver: read → compute → gather/write, with
-// per-phase timing reduced to the max across ranks.
+// each rank's phase times recorded in its own slot.
 func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 	outPath string,
 	compute func(c *mpi.Comm, team *omp.Team, blk arrayudf.Block) (*dasf.Array2D, int64, pfs.Trace),
@@ -314,10 +303,10 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 
 	rep := Report{Mode: cfg.Mode, Nodes: cfg.Nodes, CoresPerNode: cfg.CoresPerNode}
 	nch, _ := v.Shape()
-	// Per-rank phase recorder: the parallel readers fill read/exchange via
-	// the view hook; the driver below records compute and write.
-	spans := obs.NewSpans(worldSize)
-	v = v.WithSpans(spans)
+	// One phase record per rank: each rank writes only its own slot, and
+	// mpi.Run joins every rank (failed ones included) before the slots
+	// are read below.
+	phases := make([]obs.RankPhases, worldSize)
 	var runErr error
 	// cancelled panics the rank with the view context's error at a phase
 	// boundary; mpi.Run unwraps it so callers see context.Canceled /
@@ -330,18 +319,18 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 	runStart := time.Now()
 	_, err := mpi.Run(worldSize, func(c *mpi.Comm) {
 		team := omp.NewTeam(threads)
+		ph := &phases[c.Rank()]
 
 		cancelled("load")
 		t0 := time.Now()
 		blk, readTr, quality := arrayudf.LoadBlock(c, v, spec)
-		readSec := time.Since(t0).Seconds()
+		ph[obs.PhaseExchange] = blk.Exchange
+		ph[obs.PhaseRead] = time.Since(t0) - blk.Exchange
 
 		cancelled("compute")
 		t0 = time.Now()
 		out, sharedBytes, prepTr := compute(c, team, blk)
-		computeDur := time.Since(t0)
-		computeSec := computeDur.Seconds()
-		spans.Add(c.Rank(), obs.PhaseCompute, computeDur)
+		ph[obs.PhaseCompute] = time.Since(t0)
 		readTr.Add(prepTr) // prepare-phase I/O counts as read I/O
 
 		// Memory estimate: each rank holds its block + shared payload; a
@@ -358,10 +347,9 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 		memPerNode := memVec[0] * int64(ranksPerNode)
 		oom := cfg.NodeMemoryBytes > 0 && memPerNode > cfg.NodeMemoryBytes
 
-		// Phase times: max across ranks. I/O traces: summed across ranks —
-		// the total request pressure on the storage system is exactly what
-		// Figure 8 compares between the two modes.
-		times := mpi.Reduce(c, 0, []float64{readSec, computeSec}, mpi.MaxF64)
+		// I/O traces: summed across ranks — the total request pressure on
+		// the storage system is exactly what Figure 8 compares between the
+		// two modes.
 		trSum := mpi.Reduce(c, 0, []int64{readTr.Opens, readTr.Reads, readTr.BytesRead,
 			readTr.Retries, readTr.Faults, readTr.SlowReads, readTr.MaskedSamples}, mpi.SumI64)
 		if c.Rank() == 0 {
@@ -418,15 +406,9 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 			writeTr.Opens, writeTr.Writes, writeTr.BytesWritten = wr[0], wr[1], wr[2]
 		}
 		full := arrayudf.Gather(c, nch, arrayudf.Result{Data: out, ChLo: blk.ChLo, ChHi: blk.ChHi})
-		writeDur := time.Since(t0)
-		writeSec := writeDur.Seconds()
-		spans.Add(c.Rank(), obs.PhaseWrite, writeDur)
-		wtimes := mpi.Reduce(c, 0, []float64{writeSec}, mpi.MaxF64)
+		ph[obs.PhaseWrite] = time.Since(t0)
 
 		if c.Rank() == 0 {
-			rep.ReadTime = time.Duration(times[0] * float64(time.Second))
-			rep.ComputeTime = time.Duration(times[1] * float64(time.Second))
-			rep.WriteTime = time.Duration(wtimes[0] * float64(time.Second))
 			rep.ReadTrace = readTr
 			rep.ReadTrace.Processes = worldSize
 			rep.WriteTrace = writeTr
@@ -437,13 +419,12 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 			rep.Output = full
 		}
 	})
-	// The recorder outlives the world: reduce it once here, on the caller's
+	// Every rank has joined: reduce the records once here, on the caller's
 	// goroutine, and feed the process-wide histograms so a scrape of
 	// /metrics sees every engine run's phase distribution.
-	rep.ExchangeTime = spans.Max(obs.PhaseExchange)
-	rep.Phases = spans.Report()
-	spans.ObserveInto(obs.Default())
-	annotateTrace(v.Context(), runStart, &rep)
+	rep.Phases = obs.ReportPhases(phases)
+	obs.ObservePhases(obs.Default(), phases)
+	annotateTrace(v.Context(), runStart, phases)
 	if err != nil {
 		var re *mpi.RankError
 		if errors.As(err, &re) && re.TraceID == "" {
@@ -455,27 +436,34 @@ func (e *Engine) run(v *dass.View, spec arrayudf.Spec,
 }
 
 // annotateTrace lands the engine's phase breakdown in the request trace (if
-// the view carries one) as completed child spans. Phase wall times are
-// max-across-ranks, so the spans are laid out back to back from the run's
-// start — an approximation of the critical path, not per-rank timelines.
-func annotateTrace(ctx context.Context, runStart time.Time, rep *Report) {
+// the view carries one) as completed child spans. Each span is its phase's
+// slowest rank, laid out back to back from the run's start — an
+// approximation of the critical path, not per-rank timelines. haee.read is
+// the whole block load (read + exchange); haee.exchange overlaps it.
+func annotateTrace(ctx context.Context, runStart time.Time, phases []obs.RankPhases) {
+	var load, exchange, compute, write time.Duration
+	for _, ph := range phases {
+		load = max(load, ph[obs.PhaseRead]+ph[obs.PhaseExchange])
+		exchange = max(exchange, ph[obs.PhaseExchange])
+		compute = max(compute, ph[obs.PhaseCompute])
+		write = max(write, ph[obs.PhaseWrite])
+	}
 	at := runStart
-	for _, ph := range []struct {
+	for _, sp := range []struct {
 		name string
 		d    time.Duration
 	}{
-		{"haee.read", rep.ReadTime},
-		{"haee.compute", rep.ComputeTime},
-		{"haee.write", rep.WriteTime},
+		{"haee.read", load},
+		{"haee.compute", compute},
+		{"haee.write", write},
 	} {
-		if ph.d <= 0 {
+		if sp.d <= 0 {
 			continue
 		}
-		trace.Add(ctx, ph.name, at, ph.d)
-		at = at.Add(ph.d)
+		trace.Add(ctx, sp.name, at, sp.d)
+		at = at.Add(sp.d)
 	}
-	// Exchange overlaps the read phase rather than following it.
-	if rep.ExchangeTime > 0 {
-		trace.Add(ctx, "haee.exchange", runStart, rep.ExchangeTime)
+	if exchange > 0 {
+		trace.Add(ctx, "haee.exchange", runStart, exchange)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"dassa/internal/dass"
 	"dassa/internal/detect"
 	"dassa/internal/mpi"
+	"dassa/internal/obs"
 	"dassa/internal/omp"
 )
 
@@ -325,12 +326,84 @@ func TestRunRowsWritesOutput(t *testing.T) {
 	if rep.WriteTrace.BytesWritten == 0 {
 		t.Error("write trace empty")
 	}
-	if rep.Total() <= 0 {
+	if rep.Phases.TotalMaxMS() <= 0 {
 		t.Error("phase timings missing")
 	}
 	// The master channel's self-correlation peaks at 1 at zero lag.
 	zero := parts.RowLen / 2
 	if d := math.Abs(rep.Output.At(0, zero) - 1); d > 1e-6 {
 		t.Errorf("master self-correlation at zero lag = %g, want 1", rep.Output.At(0, zero))
+	}
+}
+
+// TestRunPhases pins Report.Phases: one record per rank, every phase the
+// run entered measured, exchange present exactly when the read strategy
+// communicates, and the dassa_phase_seconds series fed from the same
+// records.
+func TestRunPhases(t *testing.T) {
+	v, _, _ := makeView(t, 8, 4)
+	spec := arrayudf.Spec{GhostChannels: 1}
+	for _, layout := range []Config{
+		{Nodes: 2, CoresPerNode: 2, Mode: Hybrid},
+		{Nodes: 2, CoresPerNode: 2, Mode: PureMPI},
+	} {
+		world, _ := layout.ranks()
+		for _, read := range []struct {
+			name     string
+			strategy arrayudf.ReadStrategy
+		}{{"independent", nil}, {"commavoid", arrayudf.CommAvoidingRead}} {
+			cfg := layout
+			cfg.ReadStrategy = read.strategy
+			eng := New(cfg)
+			for _, run := range []struct {
+				form string
+				run  func() (Report, error)
+			}{
+				{"points", func() (Report, error) {
+					return eng.RunPoints(v, PointsWorkload{Spec: spec,
+						UDF: func(s *arrayudf.Stencil) float64 { return s.Value() - s.At(0, 1) }}, "")
+				}},
+				{"rows", func() (Report, error) {
+					return eng.RunRows(v, RowsWorkload{Spec: spec, RowLen: 4,
+						UDF: func(s *arrayudf.Stencil, _ any) []float64 { return s.Row(1)[:4] }}, "")
+				}},
+			} {
+				name := fmt.Sprintf("%s_%dx%d_%s/%s", cfg.Mode, cfg.Nodes, cfg.CoresPerNode, read.name, run.form)
+				rep, err := run.run()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				ph := rep.Phases
+				if ph.Ranks != world {
+					t.Errorf("%s: ranks = %d, want %d", name, ph.Ranks, world)
+				}
+				for _, p := range obs.Phases() {
+					st := ph.Stat(p)
+					if st.MeanMS > st.MaxMS {
+						t.Errorf("%s: %s mean %gms > max %gms", name, p, st.MeanMS, st.MaxMS)
+					}
+					if p != obs.PhaseExchange && st.MaxMS <= 0 {
+						t.Errorf("%s: %s max = %gms, want > 0", name, p, st.MaxMS)
+					}
+				}
+				ex := ph.Stat(obs.PhaseExchange).MaxMS
+				if read.strategy == nil && ex != 0 {
+					t.Errorf("%s: independent reads report exchange %gms", name, ex)
+				}
+				if read.strategy != nil && ex <= 0 {
+					t.Errorf("%s: comm-avoiding reads report no exchange", name)
+				}
+			}
+		}
+	}
+	var prom strings.Builder
+	if err := obs.Default().WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range obs.Phases() {
+		series := fmt.Sprintf(`dassa_phase_seconds_count{phase="%s"}`, p)
+		if !strings.Contains(prom.String(), series) {
+			t.Errorf("registry lacks %s", series)
+		}
 	}
 }

@@ -152,8 +152,8 @@ func load(dir string, patterns []string, tests bool) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}   // plain import path → export data
-	variants := map[string]string{}  // tested import path → variant export data
+	exports := map[string]string{}  // plain import path → export data
+	variants := map[string]string{} // tested import path → variant export data
 	var targets []listPkg
 	hasVariant := map[string]bool{} // tested import path → internal variant listed
 	for _, p := range listed {

@@ -1,9 +1,9 @@
-// Package spanclose verifies that every phase span started with
-// Spans.Start is ended on all paths out of the function: either via
-// `defer sp.End()` (which also survives panics) or by an End call that no
-// early return can skip. An unclosed span silently drops a rank's phase
-// time and skews the read/exchange/compute breakdown the paper's figures
-// are built from.
+// Package spanclose verifies that every span started with trace.Start,
+// trace.New or trace.StartRemote (or any Start method returning a Span) is
+// ended on all paths out of the function: either via `defer sp.End()`
+// (which also survives panics) or by an End call that no early return can
+// skip. An unclosed span silently drops its time from the request trace
+// and from the per-layer breakdown built on it.
 package spanclose
 
 import (
@@ -16,7 +16,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "spanclose",
-	Doc: "every span constructor (Spans.Start, trace.Start/New/StartRemote) " +
+	Doc: "every span constructor (trace.Start/New/StartRemote, X.Start) " +
 		"must be matched by End or EndErr on all return paths " +
 		"(including panics) — prefer `defer sp.End()`",
 	Run: run,
@@ -33,9 +33,9 @@ func run(pass *analysis.Pass) error {
 
 // spanResult matches a call that creates a span: a callee named Start,
 // New, or StartRemote with exactly one result whose (possibly pointer)
-// named type is Span — the obs.Spans method shape and the trace package's
-// multi-result constructors (`ctx, sp := trace.Start(...)`), without
-// hard-coding import paths so testdata stand-ins are exercised too.
+// named type is Span — a method constructor like X.Start and the trace
+// package's multi-result constructors (`ctx, sp := trace.Start(...)`),
+// without hard-coding import paths so testdata stand-ins are exercised too.
 // Returns the Span's index among the call's results.
 func spanResult(pass *analysis.Pass, call *ast.CallExpr) (idx, results int, ok bool) {
 	fn := astutil.Callee(pass.TypesInfo, call)

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Local stand-ins with the obs API shape: Spans.Start returns a Span
-// whose End records the elapsed phase time.
+// Local stand-ins with a method-constructor shape: Spans.Start returns a
+// Span whose End records the elapsed time.
 type Spans struct{}
 
 type Span struct{}

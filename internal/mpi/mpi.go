@@ -122,10 +122,13 @@ func (e *RankError) Unwrap() error {
 }
 
 // Run starts size ranks, each executing f with its own Comm, and waits for
-// all of them to finish. If any rank panics, Run recovers it and returns a
-// *RankError for the lowest-numbered failed rank; other ranks may then be
-// blocked forever, so Run only waits for non-failed ranks when there is no
-// error. The returned World carries the traffic statistics.
+// all of them to finish — failed ranks included — so everything a rank
+// wrote before returning or panicking is visible to the caller once Run
+// returns. If any rank panics, Run recovers it, poisons every peer's
+// mailbox so ranks blocked in Recv (and the collectives built on it) panic
+// instead of deadlocking, and returns a *RankError for the lowest-numbered
+// original failure (a knock-on poison panic only when there is none). The
+// returned World carries the traffic statistics.
 func Run(size int, f func(c *Comm)) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: world size must be positive, got %d", size)

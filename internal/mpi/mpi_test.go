@@ -1,10 +1,12 @@
 package mpi
 
 import (
+	"errors"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRunSizeValidation(t *testing.T) {
@@ -155,6 +157,38 @@ func TestRankPanicReported(t *testing.T) {
 	}
 	if re.Rank != 1 {
 		t.Errorf("failed rank = %d, want 1", re.Rank)
+	}
+}
+
+// TestRunJoinsEveryRankOnFailure pins Run's join contract: when one rank
+// panics, its peers blocked in Recv are released, and Run returns only
+// after every rank has finished, so each rank's last (deferred, delayed)
+// write is visible to the caller without further synchronization. Engines
+// rely on this to read per-rank records after a failed run; -race checks
+// the happens-before edge.
+func TestRunJoinsEveryRankOnFailure(t *testing.T) {
+	const size = 4
+	done := make([]bool, size)
+	_, err := Run(size, func(c *Comm) {
+		defer func() {
+			if c.Rank() != 0 {
+				time.Sleep(5 * time.Millisecond) // finish well after the failure
+			}
+			done[c.Rank()] = true
+		}()
+		if c.Rank() == 0 {
+			panic("rank 0 fails")
+		}
+		Recv[int](c, 0, 7) // never sent: only the poison message arrives
+	})
+	var re *RankError
+	if !errors.As(err, &re) || re.Rank != 0 {
+		t.Fatalf("err = %v, want rank 0's failure", err)
+	}
+	for rank, ok := range done {
+		if !ok {
+			t.Errorf("rank %d's deferred write not visible after Run", rank)
+		}
 	}
 }
 

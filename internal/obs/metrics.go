@@ -1,7 +1,7 @@
 // Package obs is DASSA's unified observability layer: a dependency-free
 // metrics registry (counters, gauges, fixed-bucket histograms) exposed via
-// expvar and the Prometheus text format, lightweight phase-span tracing
-// that reproduces the paper's per-rank read/exchange/compute breakdown
+// expvar and the Prometheus text format, a per-rank phase record that
+// reproduces the paper's read/exchange/compute/write breakdown
 // (Figs. 8–10), and a log/slog-based structured logger shared by the CLIs
 // and the dassd daemon. Everything here is stdlib-only so any package —
 // including the lowest storage layer — can instrument itself without

@@ -12,6 +12,7 @@ import (
 
 	"dassa/internal/dasf"
 	"dassa/internal/dasgen"
+	"dassa/internal/obs"
 	"dassa/internal/testutil/leakcheck"
 )
 
@@ -231,6 +232,37 @@ func TestDetectEndpoints(t *testing.T) {
 	}
 	if resp := getJSON(t, ts, "/detect?op=nope", nil); resp.StatusCode != 400 {
 		t.Fatalf("unknown op: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestDetectPhases pins the /detect body's phases object: the engine's
+// PhaseReport, as clients decode it, for every local op.
+func TestDetectPhases(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	for _, p := range stageFiles(t, 3) {
+		arrive(t, dir, p)
+	}
+	s := newTestServer(t, dir)
+	if err := s.Ingester().ScanOnce(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, path := range []string{"/detect?op=stalta&sta=3&lta=25", "/detect?op=localsimi&M=6&stride=5"} {
+		var dr struct {
+			Phases obs.PhaseReport `json:"phases"`
+		}
+		if resp := getJSON(t, ts, path, &dr); resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		if dr.Phases.Ranks < 1 {
+			t.Errorf("%s: phases.ranks = %d, want >= 1", path, dr.Phases.Ranks)
+		}
+		if c := dr.Phases.Stat(obs.PhaseCompute); c.MaxMS <= 0 {
+			t.Errorf("%s: compute max_ms = %g, want > 0", path, c.MaxMS)
+		}
 	}
 }
 
